@@ -9,8 +9,13 @@ within ``eps`` of each other.  That makes SGB-Any embarrassingly partitionable:
    eps-cells flanking each cut) per internal shard boundary;
 2. :mod:`repro.engine.workers` runs per-shard SGB-Any grouping — each worker
    is an ordinary :class:`~repro.core.sgb_any.SGBAnyGrouper` fed with
-   ``add_batch`` — in a shared ``ProcessPoolExecutor``, or serially in
-   process when only one worker is available;
+   ``add_batch`` — through :func:`~repro.engine.workers.run_shards`, the one
+   pool scaffold every sharded driver (SGB-Any, the SQL aggregate push-down,
+   the eps- and kNN-joins) shares: shards go to a cached
+   ``ProcessPoolExecutor`` while the halo stitching runs in process, a
+   missing or broken pool sends the driver to its serial reference, a
+   stitching error propagates, and only one-worker plans run the shards in
+   process;
 3. :mod:`repro.engine.merge` relabels the shard-local Union-Find forests into
    the global row-index space, merges them, and applies the halo-band edges,
    yielding exactly the connected components the serial pass computes;

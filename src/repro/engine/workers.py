@@ -1,20 +1,26 @@
-"""Worker-pool layer: run per-shard SGB-Any grouping in processes.
+"""Worker-pool layer: one scaffold that runs shard tasks in processes.
 
-Shard tasks are ordinary :class:`~repro.core.sgb_any.SGBAnyGrouper` runs fed
-with ``add_batch``; what crosses the process boundary is only the picklable
-shard payload (a float64 array or tuple list) outbound and the exported
-Union-Find forest inbound.  Pools are cached per worker count and reused
-across calls — the executor services many small batches in a query workload,
-and respawning processes per batch would dominate the runtime.
+Every sharded driver — SGB-Any grouping here, the SQL aggregate push-down,
+the eps-join and the kNN-join — hands :func:`run_shards` a module-level task
+and one picklable payload per shard.  ``run_shards`` owns the rest: it takes
+the cached pool for the plan's worker count, submits the shards, runs the
+driver's in-process *stitch* (halo-band edges or pairs) while the pool works,
+and gathers the results in shard order.  Pools are cached per worker count
+and reused across calls — the executor services many small batches in a
+query workload, and respawning processes per batch would dominate.
 
-While the pool works on the shards, the parent process extracts the
-halo-band edges (:meth:`PointSet.pairwise_within` over each band) so the
-boundary stitching overlaps with the shard grouping instead of following it.
+One failure policy holds for all drivers.  When no pool can be had (no
+``fork``, the interpreter shutting down) or the pool breaks (any of
+:data:`POOL_ERRORS`: a killed worker, a spawn refused at submit),
+``run_shards`` drops it and returns ``None``, and the driver answers from its
+serial reference (the push-down returns ``None`` and the executor replays).
+The stitch runs outside that handler: a stitching error is a bug and
+surfaces.  Only a one-worker plan runs its shards in process — the
+``shards=`` test seam.
 
-When only one worker is available (or the pool cannot be created — e.g. a
-sandbox forbids ``fork``) the same shard/merge pipeline runs serially in
-process, and tiny payloads skip sharding entirely; both fallbacks produce
-results identical to the parallel path.
+:func:`sharded_forest` is the SGB-Any sequence both grouping drivers share:
+plan, partition, run the shard tasks with the halo-band edges as the stitch,
+and merge the shard forests into one global Union-Find.
 """
 
 from __future__ import annotations
@@ -22,16 +28,20 @@ from __future__ import annotations
 import atexit
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.distance import Metric, resolve_metric
 from repro.core.pointset import PointSet
 from repro.core.result import GroupingResult
+from repro.dstruct.union_find import UnionFind
 from repro.engine.merge import canonical_groups, merge_shard_forests
 from repro.engine.partition import GridPartition, partition_pointset
 from repro.engine.planner import plan_shards
 
 __all__ = [
+    "POOL_ERRORS",
+    "run_shards",
+    "sharded_forest",
     "sgb_any_sharded",
     "get_worker_pool",
     "drop_worker_pool",
@@ -41,6 +51,11 @@ __all__ = [
 ]
 
 _POOLS: Dict[int, ProcessPoolExecutor] = {}
+
+#: How a lazily-spawned pool fails: spawn refusals surface at submit as
+#: OSError, a shutting-down interpreter as RuntimeError, and a killed worker
+#: as BrokenProcessPool.
+POOL_ERRORS = (BrokenProcessPool, OSError, RuntimeError)
 
 #: Set once interpreter shutdown begins: spawning a pool (or submitting to a
 #: cached one) after ``atexit`` started tearing the process down raises
@@ -73,8 +88,8 @@ def get_worker_pool(workers: int) -> Optional[ProcessPoolExecutor]:
 def drop_worker_pool(workers: int) -> None:
     """Discard (and shut down) the cached pool for ``workers`` processes.
 
-    Callers drop a pool after a :class:`BrokenProcessPool` (or an OS refusal
-    to spawn) so the next request starts from a clean slate.
+    :func:`run_shards` drops a pool after any of :data:`POOL_ERRORS` so the
+    next request starts from a clean slate.
     """
     pool = _POOLS.pop(workers, None)
     if pool is not None:
@@ -120,17 +135,56 @@ def pool_stats() -> Dict[str, object]:
 atexit.register(begin_shutdown)
 
 
-def _group_shard(points: Any, eps: float, metric_value: str) -> Dict[int, int]:
-    """Worker body: SGB-Any over one shard, returning the exported forest.
+def run_shards(
+    workers: int,
+    task: Callable[..., Any],
+    payloads: Sequence[Tuple[Any, ...]],
+    stitch: Optional[Callable[[], Any]] = None,
+) -> Optional[Tuple[Any, List[Any]]]:
+    """Run ``task(*payload)`` per payload; return ``(stitch(), results)``.
 
-    Module-level (not a closure) so it pickles by reference under every
-    multiprocessing start method.
+    With ``workers > 1`` the tasks run in the cached pool and ``stitch`` runs
+    in process while it works; ``None`` means the pool was missing or broke
+    (it is dropped) and the caller must fall back to its serial reference.
+    With ``workers <= 1`` everything runs in process.  Results come back in
+    payload order; an error raised by ``stitch`` propagates.
+    """
+    if workers <= 1:
+        stitched = stitch() if stitch is not None else None
+        return stitched, [task(*payload) for payload in payloads]
+    pool = get_worker_pool(workers)
+    if pool is None:
+        return None
+    try:
+        futures = [pool.submit(task, *payload) for payload in payloads]
+    except POOL_ERRORS:
+        drop_worker_pool(workers)
+        return None
+    stitched = stitch() if stitch is not None else None
+    try:
+        results = [future.result() for future in futures]
+    except POOL_ERRORS:
+        drop_worker_pool(workers)
+        return None
+    return stitched, results
+
+
+def _group_shard(
+    points: Any, eps: float, metric_value: str, fold: Optional[Callable] = None, *fold_args: Any
+) -> Tuple[Dict[int, int], Any]:
+    """Worker body: SGB-Any over one shard, returning ``(forest, folded)``.
+
+    ``folded`` is ``fold(forest, *fold_args)`` computed in the worker (the
+    aggregate push-down folds its rows there), else ``None``.  Module-level
+    (not a closure), like every ``fold``, so it pickles by reference under
+    every multiprocessing start method.
     """
     from repro.core.sgb_any import SGBAnyGrouper
 
     grouper = SGBAnyGrouper(eps=eps, metric=metric_value)
     grouper.add_batch(points)
-    return grouper.forest()
+    forest = grouper.forest()
+    return forest, (fold(forest, *fold_args) if fold is not None else None)
 
 
 def _band_edges(
@@ -157,6 +211,45 @@ def _serial_grouping(ps: PointSet, eps: float, metric: Metric) -> GroupingResult
     return grouper.finalize()
 
 
+def sharded_forest(
+    ps: PointSet,
+    eps: float,
+    metric: Metric,
+    workers: "Optional[int | str]",
+    shards: Optional[int],
+    fold_args: Callable[[Any], Tuple[Any, ...]] = lambda shard: (),
+) -> Optional[Tuple[UnionFind, List[List[int]], List[Any]]]:
+    """Group ``ps`` shard by shard and merge the forests with the halo edges.
+
+    Each shard runs :func:`_group_shard` with ``fold_args(shard)`` as its
+    trailing ``(fold, *args)``.  Returns the merged global Union-Find, each
+    shard's global row indices, and the per-shard ``(forest, folded)``
+    results in shard order — or ``None`` when the plan or the partition
+    leaves fewer than two shards, or the pool is missing or broken.
+    """
+    plan = plan_shards(len(ps), eps, workers)
+    n_shards = shards if shards is not None else plan.shards
+    if n_shards < 2:
+        return None
+    partition = partition_pointset(ps, eps, n_shards)
+    if partition is None or len(partition.shards) < 2:
+        return None
+    ran = run_shards(
+        plan.workers,
+        _group_shard,
+        [(shard.points, eps, metric.value, *fold_args(shard)) for shard in partition.shards],
+        lambda: list(_band_edges(partition, eps, metric)),
+    )
+    if ran is None:
+        return None
+    edges, results = ran
+    shard_lists = [shard.indices for shard in partition.shards]
+    uf = merge_shard_forests(
+        len(ps), shard_lists, [forest for forest, _ in results], edges
+    )
+    return uf, shard_lists, results
+
+
 def sgb_any_sharded(
     points: "PointSet | Sequence[Sequence[float]]",
     eps: float,
@@ -169,51 +262,14 @@ def sgb_any_sharded(
     Result-identical to ``sgb_any_grouping(..., batch=True)`` — and to the
     scalar reference path — after the canonical relabelling both apply.
     ``shards`` overrides the planned shard count (used by tests to force the
-    partition/merge pipeline regardless of worker availability).
+    partition/merge pipeline; a one-worker plan then runs it in process).
     """
     ps = PointSet.from_any(points)
     metric = resolve_metric(metric)
     eps = PointSet._check_eps(eps)
-    plan = plan_shards(len(ps), eps, workers)
-    n_shards = shards if shards is not None else plan.shards
-    if n_shards < 2:
+    sharded = sharded_forest(ps, eps, metric, workers, shards)
+    if sharded is None:
         return _serial_grouping(ps, eps, metric)
-    partition = partition_pointset(ps, eps, n_shards)
-    if partition is None or len(partition.shards) < 2:
-        return _serial_grouping(ps, eps, metric)
-
-    pool = get_worker_pool(plan.workers) if plan.parallel and plan.workers > 1 else None
-    forests: List[Dict[int, int]]
-    if pool is not None:
-        try:
-            futures = [
-                pool.submit(_group_shard, shard.points, eps, metric.value)
-                for shard in partition.shards
-            ]
-            # Overlap: stitch the halo bands while the pool grinds the shards.
-            edges = list(_band_edges(partition, eps, metric))
-            forests = [future.result() for future in futures]
-        except (BrokenProcessPool, OSError, RuntimeError):
-            # Worker processes spawn lazily at submit(), so "no fork allowed"
-            # surfaces here as an OSError (and a shutting-down interpreter as
-            # RuntimeError), not at pool construction; a killed worker raises
-            # BrokenProcessPool.  Drop the pool and recover serially rather
-            # than failing the query.
-            drop_worker_pool(plan.workers)
-            return _serial_grouping(ps, eps, metric)
-    else:
-        edges = list(_band_edges(partition, eps, metric))
-        forests = [
-            _group_shard(shard.points, eps, metric.value)
-            for shard in partition.shards
-        ]
-
-    uf = merge_shard_forests(
-        len(ps),
-        [shard.indices for shard in partition.shards],
-        forests,
-        edges,
-    )
     return GroupingResult(
-        groups=canonical_groups(uf), eliminated=[], points=ps.to_tuples()
+        groups=canonical_groups(sharded[0]), eliminated=[], points=ps.to_tuples()
     )

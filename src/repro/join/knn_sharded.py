@@ -33,14 +33,13 @@ suite on both backends and all metrics).
 
 from __future__ import annotations
 
-from concurrent.futures.process import BrokenProcessPool
 from typing import Any, List, Optional, Sequence
 
 from repro.core.distance import Metric, resolve_metric
 from repro.core.pointset import PointSet
 from repro.engine.partition import partition_pointset, take_payload
 from repro.engine.planner import plan_shards
-from repro.engine.workers import drop_worker_pool, get_worker_pool
+from repro.engine.workers import run_shards
 from repro.join.epsilon import JoinPairs, _normalise_sides
 from repro.join.knn import (
     _check_k,
@@ -52,11 +51,6 @@ from repro.join.knn import (
 )
 
 __all__ = ["knn_join_sharded"]
-
-#: The failure modes of lazily-spawned worker processes (mirrors the eps-join
-#: and engine recovery): spawn refusals surface as OSError, a dying
-#: interpreter as RuntimeError, a killed worker as BrokenProcessPool.
-_POOL_ERRORS = (BrokenProcessPool, OSError, RuntimeError)
 
 
 def _knn_shard(
@@ -114,8 +108,8 @@ def knn_join_sharded(
 
     Result-identical to the serial :func:`repro.join.knn.knn_join` — same
     pairs, same order.  ``shards`` overrides the planned shard count (used
-    by tests to force the partition/merge pipeline regardless of worker
-    availability); ``ship_index`` selects the ship-the-built-index mode
+    by tests to force the partition/merge pipeline; a one-worker plan then
+    runs it in process); ``ship_index`` selects the ship-the-built-index mode
     over the default rebuild-per-worker mode.
     """
     k = _check_k(k)
@@ -141,29 +135,14 @@ def knn_join_sharded(
         if ship_index and want < n_right
         else None
     )
-    payloads = [take_payload(left_ps, indices) for indices in shard_indices]
-
-    pool = get_worker_pool(plan.workers) if plan.parallel and plan.workers > 1 else None
-    shard_results: Optional[List[List[tuple]]] = None
-    if pool is not None:
-        try:
-            futures = [
-                pool.submit(
-                    _knn_shard, payload, right_payload, want, metric.value, radius, index
-                )
-                for payload in payloads
-            ]
-            shard_results = [future.result() for future in futures]
-        except _POOL_ERRORS:
-            # A worker died mid-join (or no process could spawn): drop the
-            # pool and recover in process rather than failing the query.
-            drop_worker_pool(plan.workers)
-            shard_results = None
-    if shard_results is None:
-        shard_results = [
-            _knn_shard(payload, right_payload, want, metric.value, radius, index)
-            for payload in payloads
-        ]
+    payloads = [
+        (take_payload(left_ps, indices), right_payload, want, metric.value, radius, index)
+        for indices in shard_indices
+    ]
+    ran = run_shards(plan.workers, _knn_shard, payloads)
+    if ran is None:
+        return _knn_serial(left_ps, right_ps, k, metric)
+    shard_results = ran[1]
 
     # Merge: every global left index lives in exactly one shard, and each
     # shard's pairs come back grouped by ascending local left index with the

@@ -25,7 +25,6 @@ union of both edge sets is bit-identical to the serial
 
 from __future__ import annotations
 
-from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.distance import Metric, resolve_metric
@@ -37,15 +36,10 @@ from repro.engine.partition import (
     take_payload,
 )
 from repro.engine.planner import plan_shards
-from repro.engine.workers import drop_worker_pool, get_worker_pool
+from repro.engine.workers import run_shards
 from repro.join.epsilon import JoinPairs, _normalise_sides
 
 __all__ = ["eps_join_sharded"]
-
-#: The failure modes of lazily-spawned worker processes: spawn refusals
-#: surface as OSError, a dying interpreter as RuntimeError, and a killed
-#: worker as BrokenProcessPool (mirrors the engine's recovery).
-_POOL_ERRORS = (BrokenProcessPool, OSError, RuntimeError)
 
 
 def _join_shard(
@@ -75,19 +69,21 @@ def _band_pairs(
     partition: GridPartition,
     left_ps: PointSet,
     right_ps: PointSet,
-    n_left: int,
+    combined: PointSet,
     eps: float,
     metric: Metric,
-    cells: Sequence[int],
 ) -> Iterator[Tuple[int, int]]:
     """Cross-slab pairs from the halo bands (computed in-process).
 
-    ``cells`` is the partition-axis eps-cell of every combined row (the same
-    vectorised pass the partitioner runs).  Only pairs whose endpoints' cells
-    straddle the band's cut are yielded; same-side pairs are the shard-local
-    joins' responsibility, and every straddling pair lives in exactly one
-    band (a point belongs to at most one band), so no pair is emitted twice.
+    Pairs are kept by the partition-axis eps-cell of each combined row (the
+    same vectorised pass the partitioner runs).  Only pairs whose endpoints'
+    cells straddle the band's cut are yielded; same-side pairs are the
+    shard-local joins' responsibility, and every straddling pair lives in
+    exactly one band (a point belongs to at most one band), so no pair is
+    emitted twice.
     """
+    n_left = len(left_ps)
+    cells = axis_cells(combined, partition.axis, eps)
     for band in partition.bands:
         left_idx, right_idx = _split_sides(band.indices, n_left)
         if not left_idx or not right_idx:
@@ -120,8 +116,8 @@ def eps_join_sharded(
 
     Result-identical to the serial :func:`repro.join.epsilon.eps_join` —
     same pairs, same lexicographic order.  ``shards`` overrides the planned
-    shard count (used by tests to force the partition/stitch pipeline
-    regardless of worker availability).
+    shard count (used by tests to force the partition/stitch pipeline; a
+    one-worker plan then runs it in process).
     """
     metric = resolve_metric(metric)
     eps = PointSet._check_eps(eps)
@@ -146,40 +142,19 @@ def eps_join_sharded(
         if left_idx and right_idx:
             tasks.append((left_idx, right_idx))
     payloads = [
-        (take_payload(left_ps, left_idx), take_payload(right_ps, right_idx))
+        (take_payload(left_ps, left_idx), take_payload(right_ps, right_idx), eps, metric.value)
         for left_idx, right_idx in tasks
     ]
-
-    pool = get_worker_pool(plan.workers) if plan.parallel and plan.workers > 1 else None
-    futures = None
-    if pool is not None:
-        try:
-            futures = [
-                pool.submit(_join_shard, lp, rp, eps, metric.value)
-                for lp, rp in payloads
-            ]
-        except _POOL_ERRORS:
-            drop_worker_pool(plan.workers)
-            futures = None
-    # Stitch the halo bands in-process — with a live pool this overlaps the
-    # shard joins.  Deliberately outside the pool try/except: a genuine
-    # stitching error is a bug and must surface, not degrade to serial.
-    cells = axis_cells(combined, partition.axis, eps)
-    pairs = list(
-        _band_pairs(partition, left_ps, right_ps, n_left, eps, metric, cells)
+    # The halo bands are stitched in process, overlapping the shard joins.
+    ran = run_shards(
+        plan.workers,
+        _join_shard,
+        payloads,
+        lambda: list(_band_pairs(partition, left_ps, right_ps, combined, eps, metric)),
     )
-    if futures is not None:
-        try:
-            shard_results = [future.result() for future in futures]
-        except _POOL_ERRORS:
-            # A worker died mid-join: recover serially rather than failing.
-            drop_worker_pool(plan.workers)
-            return _serial_pairs(left_ps, right_ps, eps, metric)
-    else:
-        shard_results = [
-            _join_shard(lp, rp, eps, metric.value) for lp, rp in payloads
-        ]
-
+    if ran is None:
+        return _serial_pairs(left_ps, right_ps, eps, metric)
+    pairs, shard_results = ran
     for (left_idx, right_idx), local_pairs in zip(tasks, shard_results):
         pairs.extend((left_idx[a], right_idx[b]) for a, b in local_pairs)
     pairs.sort()

@@ -32,26 +32,27 @@ provably reproduces the row replay:
 Ineligible queries (any other aggregate, float sums, ELIMINATE semantics —
 which never reach here because SGB-All always runs serially) keep the
 existing ship-members-and-replay path unchanged.
+
+Push-down runs only on a result-cache miss: the executor stores the
+grouping the workers produced, and a later hit replays the aggregates
+locally from that grouping.  The shard pipeline itself is the SGB-Any one
+(:func:`repro.engine.workers.sharded_forest`) plus a worker-side fold, so
+a missing or broken pool returns ``None`` and the executor replays.
 """
 
 from __future__ import annotations
 
-from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.distance import resolve_metric
 from repro.core.pointset import PointSet
 from repro.core.result import GroupingResult
-from repro.engine.merge import canonical_groups, merge_shard_forests
-from repro.engine.partition import partition_pointset
-from repro.engine.planner import plan_shards
-from repro.engine.workers import drop_worker_pool, get_worker_pool
+from repro.engine.merge import canonical_groups
+from repro.engine.workers import sharded_forest
 from repro.minidb.exec.aggregate import AggregateSpec
 from repro.minidb.functions import MULTI_ARG_AGGREGATES, create_aggregate
 
 __all__ = ["pushdown_eligible", "columns_eligible", "sgb_any_pushdown"]
-
-_POOL_ERRORS = (BrokenProcessPool, OSError, RuntimeError)
 
 #: Aggregates whose partial states merge exactly regardless of partition.
 _MERGEABLE_FUNCS = frozenset({"count", "min", "max", "sum", "avg", "average"})
@@ -85,27 +86,19 @@ def columns_eligible(
     return True
 
 
-def _pushdown_shard(
-    payload: Any,
-    eps: float,
-    metric_value: str,
+def _shard_partials(
+    forest: Dict[int, int],
     spec_payload: List[Tuple[str, bool]],
     shard_columns: List[Optional[List[Any]]],
-) -> Tuple[Dict[int, int], Dict[int, List[Any]]]:
-    """Worker body: group one shard and pre-aggregate its rows per local root.
+) -> Dict[int, List[Any]]:
+    """Worker-side fold: pre-aggregate one grouped shard's rows per local root.
 
     Module-level (not a closure) so it pickles by reference under every
     multiprocessing start method.  ``shard_columns`` holds one value column
     per spec aligned with the shard's local row order (``None`` for
-    ``count(*)``-style constant steps).  Returns the shard forest plus
+    ``count(*)``-style constant steps).  Returns
     ``{local_root: [partial state per spec]}``.
     """
-    from repro.core.sgb_any import SGBAnyGrouper
-
-    grouper = SGBAnyGrouper(eps=eps, metric=metric_value)
-    grouper.add_batch(payload)
-    forest = grouper.forest()
-
     members_by_root: Dict[int, List[int]] = {}
     for position in range(len(forest)):
         members_by_root.setdefault(forest[position], []).append(position)
@@ -118,7 +111,7 @@ def _pushdown_shard(
             else:
                 acc.step_many([column[i] for i in members])
         partials[root] = [acc.partial() for acc in accumulators]
-    return forest, partials
+    return partials
 
 
 def sgb_any_pushdown(
@@ -135,54 +128,29 @@ def sgb_any_pushdown(
     On success returns the grouping (canonically labelled, exactly what
     :func:`sgb_any_sharded` returns) plus one list of already-stepped
     accumulators per group, aligned with ``grouping.groups`` — the caller
-    only finalizes them.  Any degradation (plan went serial, partition
-    refused, pool unavailable or broken) returns ``None`` so the caller's
-    existing serial/sharded fallbacks stay in charge; this function never
-    aggregates in-process precisely because the replay path already covers
-    that case better.
+    only finalizes them.  Any degradation (fewer than two shards planned or
+    cut, pool unavailable or broken) returns ``None`` so the caller's
+    grouping and replay stay in charge.
     """
-    metric_enum = resolve_metric(metric)
-    eps = PointSet._check_eps(eps)
-    plan = plan_shards(len(points), eps, workers)
-    n_shards = shards if shards is not None else plan.shards
-    if n_shards < 2 or not plan.parallel or plan.workers < 2:
-        return None
-    partition = partition_pointset(points, eps, n_shards)
-    if partition is None or len(partition.shards) < 2:
-        return None
-    pool = get_worker_pool(plan.workers)
-    if pool is None:
-        return None
-
     spec_payload = [(spec.func, spec.star) for spec in specs]
-    try:
-        futures = [
-            pool.submit(
-                _pushdown_shard,
-                shard.points,
-                eps,
-                metric_enum.value,
-                spec_payload,
-                [
-                    None if column is None else [column[g] for g in shard.indices]
-                    for column in agg_columns
-                ],
-            )
-            for shard in partition.shards
-        ]
-        # Overlap: stitch the halo bands while the pool grinds the shards.
-        from repro.engine.workers import _band_edges
-
-        edges = list(_band_edges(partition, eps, metric_enum))
-        results = [future.result() for future in futures]
-    except _POOL_ERRORS:
-        drop_worker_pool(plan.workers)
-        return None
-
-    shard_lists = [shard.indices for shard in partition.shards]
-    uf = merge_shard_forests(
-        len(points), shard_lists, [forest for forest, _ in results], edges
+    sharded = sharded_forest(
+        points,
+        PointSet._check_eps(eps),
+        resolve_metric(metric),
+        workers,
+        shards,
+        lambda shard: (
+            _shard_partials,
+            spec_payload,
+            [
+                None if column is None else [column[g] for g in shard.indices]
+                for column in agg_columns
+            ],
+        ),
     )
+    if sharded is None:
+        return None
+    uf, shard_lists, results = sharded
     # Absorb the shard states per global root, visiting shards (then local
     # roots) in ascending order so the merge order is deterministic.
     merged: Dict[int, List[Any]] = {}

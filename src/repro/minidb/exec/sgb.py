@@ -15,7 +15,7 @@ a single one.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterator, List, Optional, Sequence
+from typing import TYPE_CHECKING, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.overlap import OverlapAction
 from repro.core.pointset import PointSet
@@ -109,12 +109,13 @@ class SGBAggregate(PhysicalOperator):
                 strategy=SGBAllStrategy.parse(self.strategy),
                 seed=self.seed,
             )
-        strategy = (
-            SGBAnyStrategy.ALL_PAIRS
-            if SGBAllStrategy.parse(self.strategy) is SGBAllStrategy.ALL_PAIRS
-            else SGBAnyStrategy.INDEX
-        )
-        return SGBAnyGrouper(eps=self.eps, metric=self.metric, strategy=strategy)
+        return SGBAnyGrouper(eps=self.eps, metric=self.metric, strategy=self._any_strategy())
+
+    def _any_strategy(self) -> SGBAnyStrategy:
+        """SGB-Any's strategy: everything but ALL_PAIRS runs the INDEX pipeline."""
+        if SGBAllStrategy.parse(self.strategy) is SGBAllStrategy.ALL_PAIRS:
+            return SGBAnyStrategy.ALL_PAIRS
+        return SGBAnyStrategy.INDEX
 
     def rows(self) -> Iterator[Row]:
         self.last_plan = None
@@ -136,38 +137,33 @@ class SGBAggregate(PhysicalOperator):
             yield from self._windowed_rows(buffered, columns)
             return
         dims = len(self.key_exprs)
-        pushed = self._try_pushdown(buffered, columns)
-        if pushed is not None:
-            # The workers already accumulated the aggregates; only the key
-            # centroids (order-sensitive float sums) are computed here.
-            result, group_accumulators = pushed
-            for members, accumulators in zip(result.groups, group_accumulators):
-                centroid = [
-                    sum(columns[d][idx] for idx in members) / len(members)
-                    for d in range(dims)
-                ]
-                yield tuple(centroid) + tuple(self._evaluator.finalize(accumulators))
-            return
-        result = self._group(buffered, columns)
         # The aggregate replay runs over column slices: every aggregate
         # argument is evaluated once per buffered row into a column vector,
         # and each group feeds its members' slice to the accumulators in one
-        # bulk step instead of re-dispatching row by row.  With ELIMINATE
+        # bulk step instead of re-dispatching row by row.  SGB-Any never
+        # drops a row, so its columns are evaluated up front and shared by
+        # the worker-side push-down and the local replay.  With ELIMINATE
         # semantics some buffered rows belong to no group, and aggregate
         # arguments must never be evaluated on them (e.g. 1/v with v=0 on a
         # dropped row), so the eliminating case replays row-at-a-time.
-        agg_columns = (
-            self._evaluator.value_columns(buffered) if not result.eliminated else None
-        )
-        for members in result.groups:
+        agg_columns = self._evaluator.value_columns(buffered) if self.kind == "any" else None
+        result, pushed = self._group(buffered, columns, agg_columns)
+        if agg_columns is None and not result.eliminated:
+            agg_columns = self._evaluator.value_columns(buffered)
+        for position, members in enumerate(result.groups):
             if not members:
                 continue
-            accumulators = self._evaluator.new_accumulators()
-            if agg_columns is not None:
-                self._evaluator.step_slice(accumulators, agg_columns, members)
+            if pushed is not None:
+                # The workers already accumulated the aggregates; only the
+                # key centroids (order-sensitive float sums) are computed here.
+                accumulators = pushed[position]
             else:
-                for idx in members:
-                    self._evaluator.step(accumulators, buffered[idx])
+                accumulators = self._evaluator.new_accumulators()
+                if agg_columns is not None:
+                    self._evaluator.step_slice(accumulators, agg_columns, members)
+                else:
+                    for idx in members:
+                        self._evaluator.step(accumulators, buffered[idx])
             centroid = [
                 sum(columns[d][idx] for idx in members) / len(members)
                 for d in range(dims)
@@ -222,28 +218,32 @@ class SGBAggregate(PhysicalOperator):
                     + tuple(self._evaluator.finalize(accumulators))
                 )
 
-    def _group(self, buffered: List[Row], columns: List[List[float]]) -> GroupingResult:
-        """Group the buffered batch, in parallel shards when workers allow.
+    def _group(
+        self,
+        buffered: Sequence[object],
+        columns: List[List[float]],
+        agg_columns: Optional[List[Optional[List[object]]]] = None,
+    ) -> "Tuple[GroupingResult, Optional[List[List[object]]]]":
+        """Group the buffered batch through the result cache.
 
-        Without an explicit worker count (no WORKERS clause and ``SGB_WORKERS``
-        unset or ``auto``) SGB-Any delegates the mode choice to the cost
-        planner, which scores serial vs sharded execution from the batch's
-        statistics.  SGB-Any with a numeric ``WORKERS > 1`` (clause option,
-        session default, or the environment variable) is forced through the
-        sharded engine; SGB-All's arbitration is order-dependent, so it
-        always runs serially regardless.
+        The cache key is resolved once.  A hit returns the cached grouping
+        and the caller replays the aggregates locally; a miss runs
+        :meth:`_group_uncached` and stores the grouping it produced, also
+        when push-down workers produced it.  Returns the grouping and, when
+        the workers accumulated the aggregates (``agg_columns`` given and
+        push-down taken), one accumulator list per group.
         """
         if not buffered:
-            return GroupingResult.empty()
+            return GroupingResult.empty(), None
         cache, cache_key = self._cache_lookup(columns)
         if cache is not None:
             hit = cache.get_grouping(cache_key)
             if hit is not None:
-                return hit
-        result = self._group_uncached(columns)
+                return hit, None
+        result, pushed = self._group_uncached(columns, agg_columns)
         if cache is not None:
             cache.put_grouping(cache_key, result)
-        return result
+        return result, pushed
 
     def _cache_lookup(self, columns: List[List[float]]):
         """Resolve the result cache and this batch's grouping key.
@@ -269,11 +269,7 @@ class SGBAggregate(PhysicalOperator):
             fingerprint = fingerprint_columns(columns)
         backend = "numpy" if HAVE_NUMPY else "python"
         if self.kind == "any":
-            strategy = (
-                SGBAnyStrategy.ALL_PAIRS
-                if SGBAllStrategy.parse(self.strategy) is SGBAllStrategy.ALL_PAIRS
-                else SGBAnyStrategy.INDEX
-            ).value
+            strategy = self._any_strategy().value
             key = sgb_any_key(fingerprint, self.eps, self.metric, strategy, backend)
         else:
             key = sgb_all_key(
@@ -287,39 +283,59 @@ class SGBAggregate(PhysicalOperator):
             )
         return cache, key
 
-    def _group_uncached(self, columns: List[List[float]]) -> GroupingResult:
+    def _group_uncached(
+        self,
+        columns: List[List[float]],
+        agg_columns: Optional[List[Optional[List[object]]]] = None,
+    ) -> "Tuple[GroupingResult, Optional[List[List[object]]]]":
+        """Plan once, then group serially, sharded, or sharded with push-down.
+
+        Without an explicit worker count (no WORKERS clause and ``SGB_WORKERS``
+        unset or ``auto``) SGB-Any delegates the mode choice to the cost
+        planner, which scores serial vs sharded execution from the batch's
+        statistics.  SGB-Any with a numeric ``WORKERS > 1`` (clause option,
+        session default, or the environment variable) is forced through the
+        sharded engine; SGB-All's arbitration is order-dependent, so it
+        always runs serially regardless.  A sharded batch with
+        ``agg_columns`` pushes the aggregates into the workers when
+        :meth:`_pushdown_wanted` allows it.
+        """
         # Resolve outside the try below: a bad SGB_WORKERS value is a
         # configuration error and must not be re-labelled as a data error.
-        # The strategy gate mirrors _make_grouper: everything except
-        # ALL_PAIRS maps onto the INDEX pipeline, which is exactly what the
-        # sharded engine runs per shard.
-        shardable = (
-            self.kind == "any"
-            and SGBAllStrategy.parse(self.strategy) is not SGBAllStrategy.ALL_PAIRS
-        )
+        # The sharded engine runs the INDEX pipeline per shard.
+        shardable = self.kind == "any" and self._any_strategy() is SGBAnyStrategy.INDEX
         delegated = shardable and planner_delegated(self.workers)
         parallel = (
             shardable and not delegated and resolve_workers(self.workers) > 1
         )
+        plan = None
         try:
             points = PointSet.from_columns(columns)
             if delegated:
                 plan = plan_sgb_any(collect_stats(points), self.eps)
                 self.last_plan = plan
-                if plan.mode == "sharded":
-                    result = sgb_any_sharded(
-                        points,
-                        eps=self.eps,
-                        metric=self.metric,
-                        workers=plan.workers,
-                        shards=plan.shards,
-                    )
-                    result.plan = plan
-                    return result
-            elif parallel:
-                return sgb_any_sharded(
-                    points, eps=self.eps, metric=self.metric, workers=self.workers
+                parallel = plan.mode == "sharded"
+            if parallel:
+                workers, shards = (
+                    (self.workers, None) if plan is None else (plan.workers, plan.shards)
                 )
+                pushed = None
+                if agg_columns is not None and self._pushdown_wanted(
+                    agg_columns, delegated, len(points)
+                ):
+                    pushed = sgb_any_pushdown(
+                        points, self.eps, self.metric, workers, self.aggregates,
+                        agg_columns, shards=shards,
+                    )
+                result, accumulators = pushed or (
+                    sgb_any_sharded(
+                        points, eps=self.eps, metric=self.metric,
+                        workers=workers, shards=shards,
+                    ),
+                    None,
+                )
+                result.plan = plan
+                return result, accumulators
             grouper = self._make_grouper()
             grouper.add_batch(points)
         except InvalidParameterError as exc:
@@ -329,99 +345,44 @@ class SGBAggregate(PhysicalOperator):
                 f"invalid similarity grouping attributes: {exc}"
             ) from exc
         result = grouper.finalize()
-        result.plan = self.last_plan
-        return result
+        result.plan = plan
+        return result, None
 
-    def _try_pushdown(self, buffered: List[Row], columns: List[List[float]]):
-        """Shard-level aggregate push-down; ``None`` keeps the replay path.
+    def _pushdown_wanted(
+        self, agg_columns: List[Optional[List[object]]], delegated: bool, rows: int
+    ) -> bool:
+        """Whether worker-side aggregate states may replace the replay.
 
-        Eligible only for the same parallel SGB-Any configurations
-        :meth:`_group` shards, and only when merging worker-side partial
-        aggregate states provably reproduces the coordinator replay (see
-        :mod:`repro.minidb.exec.pushdown`).  Under a forced numeric WORKERS
-        count, every mergeable aggregate list qualifies (the legacy
-        behaviour); under cost-planner delegation ``COUNT(*)``-style star
-        lists always push down — no value columns are shipped, so the win
-        is unconditional — while non-COUNT aggregate lists are *costed*:
-        shipping one value column per aggregate to the workers must be
-        cheaper than the coordinator replay it replaces, with the input
-        cardinality read from the statistics propagated through the child
-        plan (:func:`~repro.minidb.exec.statics.trace_point_stats`, so
-        filtered and joined inputs are priced at their derived counts, not
-        a synthetic guess).  Either way push-down happens only when the
-        planner shards the grouping anyway.  SGB-All — including its
-        ELIMINATE arbitration — never reaches this path: it always groups
-        serially and replays row-at-a-time.
+        Only when merging the partial states provably reproduces the
+        coordinator replay (see :mod:`repro.minidb.exec.pushdown`): every
+        aggregate is mergeable, and additive ones see only int values.
+        Under a forced numeric WORKERS count every such list qualifies, and
+        under cost-planner delegation so do ``COUNT(*)``-style star lists —
+        no value columns are shipped, so the win is unconditional.  Other
+        delegated lists are costed: the replay walks every input row once
+        per aggregate on the coordinator (``c_point`` each), push-down ships
+        one value column per non-star aggregate to the pool (``c_ship`` per
+        cell), and the net win must clear the fixed partial-state merge
+        overhead (``c_task``), so small inputs keep the reference replay.
+        The input cardinality is the statistics derived through the child
+        plan — a filtered or joined input is priced at its propagated count
+        — floored at the buffered row count.
         """
-        if (
-            not buffered
-            or self.kind != "any"
-            or SGBAllStrategy.parse(self.strategy) is SGBAllStrategy.ALL_PAIRS
-            or not pushdown_eligible(self.aggregates)
-        ):
-            return None
-        delegated = planner_delegated(self.workers)
-        if delegated:
-            if not all(spec.star for spec in self.aggregates):
-                if not self._pushdown_profitable(len(buffered)):
-                    return None
-        elif resolve_workers(self.workers) < 2:
-            return None
-        agg_columns = self._evaluator.value_columns(buffered)
-        if not columns_eligible(self.aggregates, agg_columns):
-            return None
-        try:
-            points = PointSet.from_columns(columns)
-        except InvalidParameterError as exc:
-            raise ExecutionError(
-                f"invalid similarity grouping attributes: {exc}"
-            ) from exc
-        if delegated:
-            plan = plan_sgb_any(collect_stats(points), self.eps)
-            if plan.mode != "sharded":
-                return None
-            pushed = sgb_any_pushdown(
-                points,
-                self.eps,
-                self.metric,
-                plan.workers,
-                self.aggregates,
-                agg_columns,
-                shards=plan.shards,
-            )
-            if pushed is not None:
-                self.last_plan = plan
-                pushed[0].plan = plan
-            return pushed
-        return sgb_any_pushdown(
-            points, self.eps, self.metric, self.workers, self.aggregates, agg_columns
-        )
+        if not pushdown_eligible(self.aggregates):
+            return False
+        if delegated and not all(spec.star for spec in self.aggregates):
+            from repro.engine.calibrate import load_profile
+            from repro.minidb.exec.statics import trace_point_stats
 
-    def _pushdown_profitable(self, buffered_rows: int) -> bool:
-        """Cost gate for delegated non-COUNT push-down.
-
-        The replay this would replace walks every input row once per
-        aggregate on the coordinator (``c_point`` each); pushing down
-        instead ships one value column per non-star aggregate to the pool
-        (``c_ship`` per cell).  The input cardinality comes from the
-        statistics derived through the child plan when they are available —
-        a filtered or joined input is priced at its propagated count — with
-        the actual buffered row count as the floor (the estimate can only
-        have been too low once the rows are in hand).
-        """
-        from repro.engine.calibrate import load_profile
-        from repro.minidb.exec.statics import trace_point_stats
-
-        stats = trace_point_stats(self.child, self.key_exprs, len(self.key_exprs))
-        rows = max(buffered_rows, stats.count if stats.count > 0 else 0)
-        profile = load_profile()
-        value_columns = sum(1 for spec in self.aggregates if not spec.star)
-        ship_cost = profile.c_ship * rows * value_columns
-        replay_cost = profile.c_point * rows * max(1, len(self.aggregates))
-        # The net win must also clear the fixed partial-state merge overhead,
-        # so small inputs — where the replay is near-free anyway — keep the
-        # reference replay path.
-        return replay_cost - ship_cost > profile.c_task
+            stats = trace_point_stats(self.child, self.key_exprs, len(self.key_exprs))
+            rows = max(rows, stats.count)
+            profile = load_profile()
+            value_columns = sum(1 for spec in self.aggregates if not spec.star)
+            ship_cost = profile.c_ship * rows * value_columns
+            replay_cost = profile.c_point * rows * len(self.aggregates)
+            if replay_cost - ship_cost <= profile.c_task:
+                return False
+        return columns_eligible(self.aggregates, agg_columns)
 
     # ------------------------------------------------------------------
     # fused SIMILARITY JOIN -> SGB route
@@ -531,7 +492,7 @@ class SGBAggregate(PhysicalOperator):
                 column.append(
                     self._key_value(lambda r, p=key_position: r[p], row)
                 )
-        compact = self._group(distinct, key_columns)
+        compact, _ = self._group(distinct, key_columns)
         groups = canonicalize_groups(
             sorted(
                 position
@@ -597,7 +558,7 @@ class SGBAggregate(PhysicalOperator):
         stats = trace_point_stats(self.child, self.key_exprs, len(self.key_exprs))
         if self.kind == "all":
             return plan_sgb_all(stats, self.eps)
-        if SGBAllStrategy.parse(self.strategy) is SGBAllStrategy.ALL_PAIRS:
+        if self._any_strategy() is SGBAnyStrategy.ALL_PAIRS:
             return None
         return plan_sgb_any(stats, self.eps)
 

@@ -200,3 +200,108 @@ class TestEligibilityGates:
         specs = [AggregateSpec("count", [], True, "c")]
         # Two points plan serial: the caller's replay path must take over.
         assert sgb_any_pushdown(points, 0.5, "L2", 2, specs, [None]) is None
+
+
+class TestCacheCoherence:
+    """The push-down route goes through the result cache like every route."""
+
+    COUNT = (
+        "SELECT x, y, count(*) AS c FROM t "
+        "GROUP BY x, y DISTANCE-TO-ANY L2 WITHIN 0.8{workers} ORDER BY x, y"
+    )
+    COUNT_AVG = (
+        "SELECT x, y, count(*) AS c, avg(v) AS a FROM t "
+        "GROUP BY x, y DISTANCE-TO-ANY L2 WITHIN 0.8{workers} ORDER BY x, y"
+    )
+
+    @pytest.fixture(autouse=True)
+    def _cache_env(self, monkeypatch):
+        # The cache-off CI lane sets SGB_CACHE=off, which would bypass the
+        # explicit cache below and invert every assertion.
+        monkeypatch.delenv("SGB_CACHE", raising=False)
+
+    @staticmethod
+    def _cached_db(values="int"):
+        from repro.storage.cache import ResultCache
+
+        cache = ResultCache.memory()
+        db = _make_db(values=values)
+        db.settings.cache = cache
+        return db, cache
+
+    @staticmethod
+    def _spy(monkeypatch, module, name):
+        calls = []
+        real = getattr(module, name)
+
+        def spy(*args, **kwargs):
+            result = real(*args, **kwargs)
+            calls.append(result)
+            return result
+
+        monkeypatch.setattr(module, name, spy)
+        return calls
+
+    def test_repeat_is_a_hit_and_pushes_down_only_on_the_miss(self, monkeypatch):
+        import repro.minidb.exec.sgb as sgb_module
+
+        pushed = self._spy(monkeypatch, sgb_module, "sgb_any_pushdown")
+        db, cache = self._cached_db()
+        sql = self.COUNT.format(workers=" WORKERS 2")
+        cold = db.execute(sql)
+        assert (cache.hits, cache.misses, cache.puts) == (0, 1, 1)
+        assert len(pushed) == 1 and pushed[0] is not None
+        warm = db.execute(sql)
+        assert (cache.hits, cache.puts) == (1, 1)
+        assert len(pushed) == 1
+        assert warm.rows == cold.rows
+
+    def test_aggregate_lists_share_one_grouping(self):
+        db, cache = self._cached_db()
+        counted = db.execute(self.COUNT.format(workers=" WORKERS 2"))
+        averaged = db.execute(self.COUNT_AVG.format(workers=" WORKERS 2"))
+        assert (cache.puts, cache.hits) == (1, 1)
+        assert [row[:3] for row in averaged.rows] == counted.rows
+        reference = _make_db().execute(self.COUNT_AVG.format(workers=""))
+        assert averaged.rows == reference.rows
+
+    @pytest.mark.parametrize("query", [COUNT, COUNT_AVG])
+    def test_delegated_batch_plans_and_evaluates_once(self, query, monkeypatch):
+        # No WORKERS clause: the cost planner decides, forced to sharded here,
+        # and the push-down cost gate is forced open.  The count(*) list then
+        # pushes down; the float avg passes the gate but not the int check
+        # and replays from the same value columns.
+        import importlib
+
+        import repro.minidb.exec.sgb as sgb_module
+        from repro.engine.cost import PhysicalPlan
+        from repro.minidb.exec.aggregate import _AggregateEvaluator
+
+        # The package re-exports a calibrate() function over the module name.
+        calibrate_module = importlib.import_module("repro.engine.calibrate")
+        reference = _make_db(values="float").execute(query.format(workers=""))
+        monkeypatch.delenv("SGB_WORKERS", raising=False)
+        monkeypatch.setattr(
+            sgb_module,
+            "plan_sgb_any",
+            lambda stats, eps, cpu_count=None, profile=None: PhysicalPlan(
+                op="sgb_any", mode="sharded", workers=2, shards=2, reason="forced"
+            ),
+        )
+        monkeypatch.setattr(
+            calibrate_module,
+            "load_profile",
+            lambda: calibrate_module.CostProfile(
+                c_point=1.0, c_pair=1.0, c_task=0.0, c_ship=0.0
+            ),
+        )
+        stats = self._spy(monkeypatch, sgb_module, "collect_stats")
+        plans = self._spy(monkeypatch, sgb_module, "plan_sgb_any")
+        values = self._spy(monkeypatch, _AggregateEvaluator, "value_columns")
+        pushed = self._spy(monkeypatch, sgb_module, "sgb_any_pushdown")
+        db, _ = self._cached_db(values="float")
+        result = db.execute(query.format(workers=""))
+        assert (len(stats), len(plans), len(values)) == (1, 1, 1)
+        assert result.plan is not None and result.plan.mode == "sharded"
+        assert len(pushed) == (1 if query == self.COUNT else 0)
+        assert result.rows == reference.rows

@@ -15,6 +15,9 @@ from repro.storage.store import LocalFileStore, MemStore, TieredStore
 N_THREADS = 8
 N_OPS = 400
 
+#: Seconds a hammer thread may run before the test fails by its name.
+JOIN_TIMEOUT = 120
+
 
 def _hammer(worker, n_threads: int = N_THREADS):
     """Run ``worker(thread_index)`` across threads, surfacing any exception."""
@@ -28,11 +31,15 @@ def _hammer(worker, n_threads: int = N_THREADS):
         except Exception as exc:  # noqa: BLE001 - re-raised below
             errors.append(exc)
 
-    threads = [threading.Thread(target=run, args=(i,)) for i in range(n_threads)]
+    threads = [
+        threading.Thread(target=run, args=(i,), name=f"hammer-{i}")
+        for i in range(n_threads)
+    ]
     for thread in threads:
         thread.start()
     for thread in threads:
-        thread.join(timeout=120)
+        thread.join(timeout=JOIN_TIMEOUT)
+        assert not thread.is_alive(), f"{thread.name} still running after {JOIN_TIMEOUT} s"
     assert not errors, f"worker raised: {errors[0]!r}"
 
 
@@ -101,6 +108,9 @@ def test_result_cache_counters_never_lose_increments():
     assert cache.puts == cache.misses  # each miss was followed by one put
 
 
+WRITER_INSERTS = 1000
+
+
 def test_table_derived_caches_survive_concurrent_reads_and_writes():
     db = Database()
     db.execute("CREATE TABLE pts (x DOUBLE, y DOUBLE)")
@@ -110,11 +120,13 @@ def test_table_derived_caches_survive_concurrent_reads_and_writes():
     writer_errors: list = []
 
     def writer() -> None:
+        # A fixed insert budget bounds the table: an unbounded writer outruns
+        # readers that redo O(rows) work per version and grows it without end.
         try:
-            i = 0
-            while not stop.is_set():
+            for i in range(WRITER_INSERTS):
+                if stop.is_set():
+                    break
                 db.insert_rows("pts", [(float(i % 13), float(i % 7))])
-                i += 1
         except Exception as exc:  # noqa: BLE001 - surfaced below
             writer_errors.append(exc)
 
@@ -125,13 +137,14 @@ def test_table_derived_caches_survive_concurrent_reads_and_writes():
             digest = table.point_fingerprint((0, 1))
             assert isinstance(digest, str) and digest
 
-    writer_thread = threading.Thread(target=writer)
+    writer_thread = threading.Thread(target=writer, name="writer")
     writer_thread.start()
     try:
         _hammer(reader)
     finally:
         stop.set()
         writer_thread.join(timeout=60)
+    assert not writer_thread.is_alive(), "writer still running after 60 s"
     assert not writer_errors, f"writer raised: {writer_errors[0]!r}"
     # Once quiescent, the caches converge on the final version's values.
     final = table.point_stats((0, 1))
