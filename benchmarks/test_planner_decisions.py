@@ -16,7 +16,7 @@ import time
 import pytest
 
 from repro.core.api import sgb_any
-from repro.engine.planner import ENV_WORKERS
+from repro.engine.cost import ENV_WORKERS
 from repro.workloads.synthetic import clustered_points
 
 EPS = 0.3

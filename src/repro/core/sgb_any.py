@@ -372,9 +372,6 @@ def sgb_any_grouping(
     explicit ``index_factory`` pins the run to the in-process path so index
     ablations measure the access method they name.
     """
-    from repro.engine.cost import planner_delegated
-    from repro.engine.planner import resolve_workers
-
     plannable = (
         batch
         and index_factory is None
@@ -383,30 +380,29 @@ def sgb_any_grouping(
         # caller comparing strategies must measure the one they named.
         and SGBAnyStrategy.parse(strategy) is SGBAnyStrategy.INDEX
     )
-    if plannable and planner_delegated(workers):
-        # Cost-based route: statistics + calibrated formulas pick the mode.
-        # Advisory about time only — every candidate is result-identical.
-        from repro.engine.cost import plan_sgb_any
-        from repro.engine.stats import collect_stats
+    delegated_plan = None
+    if plannable:
+        from repro.engine.cost import forced_plan, plan_sgb_any, planner_delegated
 
-        ps = PointSet.from_any(points)
-        plan = plan_sgb_any(collect_stats(ps), PointSet._check_eps(eps))
+        points = PointSet.from_any(points)
+        if planner_delegated(workers):
+            # Cost-based route: statistics + calibrated formulas pick the
+            # mode.  Advisory about time only — every candidate is
+            # result-identical.
+            from repro.engine.stats import collect_stats
+
+            plan = plan_sgb_any(collect_stats(points), PointSet._check_eps(eps))
+            delegated_plan = plan
+        else:
+            plan = forced_plan("sgb_any", len(points), workers)
         if plan.mode == "sharded":
             from repro.engine.workers import sgb_any_sharded
 
             result = sgb_any_sharded(
-                ps, eps=eps, metric=metric, workers=plan.workers, shards=plan.shards
+                points, eps=eps, metric=metric, workers=plan.workers, shards=plan.shards
             )
-        else:
-            grouper = SGBAnyGrouper(eps=eps, metric=metric, strategy=strategy)
-            grouper.add_batch(ps)
-            result = grouper.finalize()
-        result.plan = plan
-        return result
-    if plannable and resolve_workers(workers) > 1:
-        from repro.engine.workers import sgb_any_sharded
-
-        return sgb_any_sharded(points, eps=eps, metric=metric, workers=workers)
+            result.plan = delegated_plan
+            return result
     grouper = SGBAnyGrouper(
         eps=eps, metric=metric, strategy=strategy, index_factory=index_factory
     )
@@ -414,4 +410,6 @@ def sgb_any_grouping(
         grouper.add_batch(points)
     else:
         grouper.add_all(points)
-    return grouper.finalize()
+    result = grouper.finalize()
+    result.plan = delegated_plan
+    return result

@@ -19,34 +19,35 @@ within ``eps`` of each other.  That makes SGB-Any embarrassingly partitionable:
 3. :mod:`repro.engine.merge` relabels the shard-local Union-Find forests into
    the global row-index space, merges them, and applies the halo-band edges,
    yielding exactly the connected components the serial pass computes;
-4. :mod:`repro.engine.planner` picks the worker and shard counts from the
-   point count, ``eps``, and ``os.cpu_count()``, and resolves the
-   ``SGB_WORKERS`` environment default;
-5. :mod:`repro.engine.stats` summarises each batch (count, bbox, per-axis
-   histograms) so :mod:`repro.engine.cost` — the cost-based physical planner
-   — can score serial vs sharded candidates with unit costs measured once
-   per machine by :mod:`repro.engine.calibrate`.  The planner engages when
-   the caller passes ``workers="auto"`` or no knob at all; numeric worker
-   counts force their mode as before.
+4. :mod:`repro.engine.cost` is the one planner: every entry point asks it
+   for one :class:`~repro.engine.cost.PhysicalPlan` and runs the mode it
+   names.  When the caller passes ``workers="auto"`` or no knob at all, the
+   cost model scores serial vs sharded candidates on the batch summary from
+   :mod:`repro.engine.stats` (count, bbox, per-axis histograms) with unit
+   costs measured once per machine by :mod:`repro.engine.calibrate`; a
+   numeric worker count (argument or ``SGB_WORKERS``) is forced, and
+   :func:`~repro.engine.cost.forced_plan` sizes the pool from that count and
+   the row count alone.
 
 The result is *bit-identical* to the serial batch path after canonical
 relabelling (groups ordered by smallest member, members ascending), which the
 randomized equivalence suite enforces — plans are advisory about time only.
 """
 
-from repro.engine.calibrate import CostProfile, calibrate, load_profile
+from repro.engine.calibrate import CostProfile, load_profile
 from repro.engine.cost import (
     PhysicalPlan,
+    forced_plan,
     plan_eps_join,
     plan_knn_join,
     plan_sgb_all,
     plan_sgb_any,
     plan_stream_flush,
     planner_delegated,
+    resolve_workers,
 )
 from repro.engine.merge import canonical_groups, merge_shard_forests
 from repro.engine.partition import GridPartition, HaloBand, Shard, partition_pointset
-from repro.engine.planner import ShardPlan, plan_shards, resolve_workers
 from repro.engine.stats import PointStats, collect_stats, synthetic_stats
 from repro.engine.workers import (
     drop_worker_pool,
@@ -62,10 +63,9 @@ __all__ = [
     "PhysicalPlan",
     "PointStats",
     "Shard",
-    "ShardPlan",
-    "calibrate",
     "canonical_groups",
     "collect_stats",
+    "forced_plan",
     "load_profile",
     "merge_shard_forests",
     "partition_pointset",
@@ -73,7 +73,6 @@ __all__ = [
     "plan_knn_join",
     "plan_sgb_all",
     "plan_sgb_any",
-    "plan_shards",
     "plan_stream_flush",
     "planner_delegated",
     "resolve_workers",

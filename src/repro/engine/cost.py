@@ -20,12 +20,13 @@ result-identical to the serial scalar reference (the randomized equivalence
 suite enforces this), so a mis-estimate can waste seconds, never change an
 answer.
 
-The planner engages only when the caller delegated the choice
+The cost model engages only when the caller delegated the choice
 (:func:`planner_delegated`): ``workers="auto"`` / ``0``, or no ``workers``
 argument with no numeric ``SGB_WORKERS`` in the environment.  An explicit
-numeric worker count is a forced mode and bypasses the cost model entirely,
-so benchmarks and the forced-parallel CI lane measure exactly what they
-pinned.
+numeric worker count is a forced mode: :func:`forced_plan` sizes the pool
+from that count and the row count alone, without statistics, so benchmarks
+and the forced-parallel CI lane measure exactly what they pinned.  Either
+way the caller gets one :class:`PhysicalPlan` and runs the mode it names.
 
 Sharded plans pick the *shard fan-out* adaptively from the partition-axis
 histogram: on uniform data one slab per worker is optimal (more shards only
@@ -38,16 +39,21 @@ classic LPT remedy for stragglers.
 from __future__ import annotations
 
 import os
+import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.engine.calibrate import CostProfile, load_profile
-from repro.engine.planner import ENV_WORKERS, _min_points
 from repro.engine.stats import PointStats
+from repro.exceptions import InvalidParameterError
 
 __all__ = [
+    "ENV_WORKERS",
+    "MIN_PARALLEL_POINTS",
     "PhysicalPlan",
+    "forced_plan",
     "planner_delegated",
+    "resolve_workers",
     "plan_sgb_any",
     "plan_sgb_all",
     "plan_eps_join",
@@ -55,6 +61,14 @@ __all__ = [
     "plan_stream_flush",
     "filter_placement_gain",
 ]
+
+#: Environment default for the worker count (used when ``workers`` is None).
+ENV_WORKERS = "SGB_WORKERS"
+
+#: Below this many points the per-process overhead (pickling the shard
+#: payloads plus shipping the forests back) outweighs the grouping work, so
+#: every plan stays serial, forced or delegated.
+MIN_PARALLEL_POINTS = 64
 
 #: Estimated serial runtimes below this are not worth parallelising no
 #: matter what the formulas say: pool latency and result shipping are
@@ -105,12 +119,12 @@ class PhysicalPlan:
 
 
 def planner_delegated(workers: "Optional[int | str]" = None) -> bool:
-    """True when the caller left the mode choice to the cost planner.
+    """True when the caller left the mode choice to the cost model.
 
     Delegation means ``workers="auto"`` / ``0`` (explicitly "you pick"), or
     ``workers=None`` with ``SGB_WORKERS`` unset (or itself ``auto``/``0``).
     A numeric worker count — argument or environment — is a *forced* mode:
-    the legacy threshold path runs and the planner stays out of the way.
+    the caller runs :func:`forced_plan` and the statistics stay unread.
     """
     if workers is None:
         env = os.environ.get(ENV_WORKERS, "").strip().lower()
@@ -120,9 +134,81 @@ def planner_delegated(workers: "Optional[int | str]" = None) -> bool:
     return workers == 0
 
 
-def _available_workers(cpu_count: Optional[int] = None) -> int:
+def resolve_workers(
+    workers: "Optional[int | str]" = None, cpu_count: Optional[int] = None
+) -> int:
+    """Resolve a worker count: explicit argument > ``SGB_WORKERS`` env > 1.
+
+    ``0`` or ``"auto"`` means "use every available core"
+    (``os.cpu_count()``); ``None`` defers to the environment and defaults to
+    serial.  Invalid values raise :class:`InvalidParameterError` so
+    misconfiguration is loud rather than silently serial.
+
+    Numeric requests larger than the machine (argument or ``SGB_WORKERS``
+    alike) are clamped with a :class:`RuntimeWarning` — spawning more
+    grouping processes than cores only adds scheduling churn and memory
+    pressure.  The cap is never below 2: a two-process pool must stay viable
+    even on one-core boxes, because the forced-parallel CI lane
+    (``SGB_WORKERS=2``) relies on the pool really running there.
+    """
+    if workers is None:
+        env = os.environ.get(ENV_WORKERS)
+        if env is None or not env.strip():
+            return 1
+        workers = env.strip()
+    if isinstance(workers, str) and workers.strip().lower() == "auto":
+        workers = 0
+    try:
+        count = int(workers)  # type: ignore[arg-type]
+    except (TypeError, ValueError):
+        raise InvalidParameterError(f"workers must be an integer, got {workers!r}")
+    if count < 0:
+        raise InvalidParameterError(f"workers must not be negative, got {count}")
     cores = cpu_count if cpu_count is not None else (os.cpu_count() or 1)
-    return max(1, cores)
+    if count == 0:
+        return max(1, cores)
+    cap = max(2, cores)
+    if count > cap:
+        warnings.warn(
+            f"workers={count} exceeds this machine's capacity "
+            f"(cpu_count={cores}); clamping the pool to {cap}",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+        count = cap
+    return count
+
+
+def forced_plan(
+    op: str,
+    n_points: int,
+    workers: "Optional[int | str]",
+    cpu_count: Optional[int] = None,
+) -> PhysicalPlan:
+    """The plan for a caller-forced worker count: ``sharded`` or ``serial``.
+
+    Decided from the resolved worker count and ``n_points`` alone — no
+    statistics are collected.  One shard per worker (the partitioner
+    balances the slab populations, so more shards than workers only add
+    merge overhead), and never shards so small that the merge dominates the
+    grouping.  The partitioner may still cut fewer shards than planned on
+    degenerate extents.
+    """
+    count = resolve_workers(workers, cpu_count=cpu_count)
+    if count <= 1:
+        return PhysicalPlan(op=op, mode="serial", reason="workers<=1")
+    if n_points < MIN_PARALLEL_POINTS:
+        return PhysicalPlan(
+            op=op, mode="serial", reason=f"payload below {MIN_PARALLEL_POINTS} points"
+        )
+    count = max(2, min(count, n_points // max(1, MIN_PARALLEL_POINTS // 2)))
+    return PhysicalPlan(
+        op=op,
+        mode="sharded",
+        workers=count,
+        shards=count,
+        reason=f"{count} workers over {n_points} points",
+    )
 
 
 def _sharded_candidate(
@@ -188,7 +274,7 @@ def plan_sgb_any(
     pairs = stats.estimated_pairs(eps)
     est_rows = stats.estimated_groups(eps)
     serial_cost = profile.c_point * n + profile.c_pair * pairs
-    if n < max(32, _min_points()):
+    if n < max(32, MIN_PARALLEL_POINTS):
         # The grid build isn't worth it for a handful of points, and the
         # partitioner refuses tiny payloads anyway.
         mode = "scalar" if n < 32 else "batch"
@@ -200,7 +286,7 @@ def plan_sgb_any(
             reason=f"n={n} below parallel floor",
             details={"batch": serial_cost},
         )
-    workers = _available_workers(cpu_count)
+    workers = resolve_workers("auto", cpu_count)
     details: Dict[str, float] = {"batch": serial_cost}
     if workers > 1:
         sharded_cost, fanout, detail = _sharded_candidate(
@@ -299,8 +385,8 @@ def plan_eps_join(
             reason=f"dense join (selectivity {est_pairs / max(1, n_l * n_r):.3f})",
             details=details,
         )
-    workers = _available_workers(cpu_count)
-    if workers > 1 and min(n_l, n_r) >= _min_points():
+    workers = resolve_workers("auto", cpu_count)
+    if workers > 1 and min(n_l, n_r) >= MIN_PARALLEL_POINTS:
         # Shard the bigger side; both sides ship to the pool.
         big = left if n_l >= n_r else right
         sharded_cost, fanout, detail = _sharded_candidate(
@@ -344,8 +430,8 @@ def plan_knn_join(
     probe_pairs = float(n_l) * min(n_r, 8 * max(1, k))
     serial_cost = profile.c_point * (n_l + n_r) + profile.c_pair * probe_pairs
     details = {"serial": serial_cost}
-    workers = _available_workers(cpu_count)
-    if workers > 1 and n_l >= _min_points():
+    workers = resolve_workers("auto", cpu_count)
+    if workers > 1 and n_l >= MIN_PARALLEL_POINTS:
         sharded_cost, fanout, detail = _sharded_candidate(
             left, serial_cost, ship_rows=n_l + n_r, workers=workers, profile=profile
         )

@@ -36,7 +36,7 @@ from repro.core.result import GroupingResult
 from repro.dstruct.union_find import UnionFind
 from repro.engine.merge import canonical_groups, merge_shard_forests
 from repro.engine.partition import GridPartition, partition_pointset
-from repro.engine.planner import plan_shards
+from repro.engine.cost import forced_plan
 
 __all__ = [
     "POOL_ERRORS",
@@ -227,7 +227,7 @@ def sharded_forest(
     results in shard order — or ``None`` when the plan or the partition
     leaves fewer than two shards, or the pool is missing or broken.
     """
-    plan = plan_shards(len(ps), eps, workers)
+    plan = forced_plan("sgb_any", len(ps), workers)
     n_shards = shards if shards is not None else plan.shards
     if n_shards < 2:
         return None

@@ -95,39 +95,35 @@ def eps_join(
     left_ps, right_ps = _normalise_sides(left, right, backend)
     if len(left_ps) == 0 or len(right_ps) == 0:
         return []
-    from repro.engine.cost import planner_delegated
-    from repro.engine.planner import resolve_workers
+    from repro.engine.cost import forced_plan, plan_eps_join, planner_delegated
 
-    if planner_delegated(workers):
-        from repro.engine.cost import plan_eps_join
+    delegated = planner_delegated(workers)
+    if delegated:
         from repro.engine.stats import collect_stats
 
         plan = plan_eps_join(collect_stats(left_ps), collect_stats(right_ps), eps)
-        if plan.mode == "sharded":
-            from repro.join.sharded import eps_join_sharded
-
-            pairs = eps_join_sharded(
-                left_ps,
-                right_ps,
-                eps,
-                metric=metric,
-                workers=plan.workers,
-                shards=plan.shards,
-            )
-        elif plan.mode == "allpairs":
-            pairs = eps_join_allpairs(left_ps, right_ps, eps, metric=metric)
-        else:
-            pairs = sorted(left_ps.cross_within(right_ps, eps, metric))
-        result = JoinResult(pairs)
-        result.plan = plan
-        return result
-    if resolve_workers(workers) > 1:
+    else:
+        plan = forced_plan("eps_join", len(left_ps) + len(right_ps), workers)
+    if plan.mode == "sharded":
         from repro.join.sharded import eps_join_sharded
 
-        return eps_join_sharded(
-            left_ps, right_ps, eps, metric=metric, workers=workers
+        pairs = eps_join_sharded(
+            left_ps,
+            right_ps,
+            eps,
+            metric=metric,
+            workers=plan.workers,
+            shards=plan.shards,
         )
-    return sorted(left_ps.cross_within(right_ps, eps, metric))
+    elif plan.mode == "allpairs":
+        pairs = eps_join_allpairs(left_ps, right_ps, eps, metric=metric)
+    else:
+        pairs = sorted(left_ps.cross_within(right_ps, eps, metric))
+    if not delegated:
+        return pairs
+    result = JoinResult(pairs)
+    result.plan = plan
+    return result
 
 
 def eps_join_allpairs(

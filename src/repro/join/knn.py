@@ -41,7 +41,7 @@ from repro.core.distance import Metric, distances_many, resolve_metric
 from repro.core.pointset import PointSet
 from repro.core.rectangle import Rect
 from repro.exceptions import InvalidParameterError
-from repro.join.epsilon import JoinPairs, _normalise_sides
+from repro.join.epsilon import JoinPairs, JoinResult, _normalise_sides
 from repro.spatial.rtree import RTree
 
 Point = Tuple[float, ...]
@@ -172,36 +172,33 @@ def knn_join(
     left_ps, right_ps = _normalise_sides(left, right, backend)
     if len(left_ps) == 0 or len(right_ps) == 0:
         return []
-    from repro.engine.cost import planner_delegated
-    from repro.engine.planner import resolve_workers
+    from repro.engine.cost import forced_plan, plan_knn_join, planner_delegated
 
-    if planner_delegated(workers):
-        from repro.engine.cost import plan_knn_join
+    delegated = planner_delegated(workers)
+    if delegated:
         from repro.engine.stats import collect_stats
-        from repro.join.epsilon import JoinResult
 
         plan = plan_knn_join(collect_stats(left_ps), collect_stats(right_ps), k)
-        if plan.mode == "sharded":
-            from repro.join.knn_sharded import knn_join_sharded
-
-            pairs = knn_join_sharded(
-                left_ps,
-                right_ps,
-                k,
-                metric=metric,
-                workers=plan.workers,
-                shards=plan.shards,
-            )
-        else:
-            pairs = _knn_serial(left_ps, right_ps, k, metric)
-        result = JoinResult(pairs)
-        result.plan = plan
-        return result
-    if resolve_workers(workers) > 1:
+    else:
+        plan = forced_plan("knn_join", len(left_ps), workers)
+    if plan.mode == "sharded":
         from repro.join.knn_sharded import knn_join_sharded
 
-        return knn_join_sharded(left_ps, right_ps, k, metric=metric, workers=workers)
-    return _knn_serial(left_ps, right_ps, k, metric)
+        pairs = knn_join_sharded(
+            left_ps,
+            right_ps,
+            k,
+            metric=metric,
+            workers=plan.workers,
+            shards=plan.shards,
+        )
+    else:
+        pairs = _knn_serial(left_ps, right_ps, k, metric)
+    if not delegated:
+        return pairs
+    result = JoinResult(pairs)
+    result.plan = plan
+    return result
 
 
 def _knn_serial(

@@ -38,7 +38,7 @@ from typing import Any, List, Optional, Sequence
 from repro.core.distance import Metric, resolve_metric
 from repro.core.pointset import PointSet
 from repro.engine.partition import partition_pointset, take_payload
-from repro.engine.planner import plan_shards
+from repro.engine.cost import forced_plan
 from repro.engine.workers import run_shards
 from repro.join.epsilon import JoinPairs, _normalise_sides
 from repro.join.knn import (
@@ -120,7 +120,7 @@ def knn_join_sharded(
     n_left = len(left_ps)
     n_right = len(right_ps)
     want = min(k, n_right)
-    plan = plan_shards(n_left, 1.0, workers)
+    plan = forced_plan("knn_join", n_left, workers)
     n_shards = shards if shards is not None else plan.shards
     if n_shards < 2:
         return _knn_serial(left_ps, right_ps, k, metric)

@@ -35,7 +35,7 @@ from repro.engine.partition import (
     partition_pointset,
     take_payload,
 )
-from repro.engine.planner import plan_shards
+from repro.engine.cost import forced_plan
 from repro.engine.workers import run_shards
 from repro.join.epsilon import JoinPairs, _normalise_sides
 
@@ -126,7 +126,7 @@ def eps_join_sharded(
         return []
     n_left = len(left_ps)
     combined = PointSet.concat([left_ps, right_ps], backend=left_ps.backend)
-    plan = plan_shards(len(combined), eps, workers)
+    plan = forced_plan("eps_join", len(combined), workers)
     n_shards = shards if shards is not None else plan.shards
     if n_shards < 2:
         return _serial_pairs(left_ps, right_ps, eps, metric)

@@ -67,7 +67,7 @@ class SimilarityJoin(PhysicalOperator):
         self._left_fns = [compile_expression(e, left.schema) for e in left_exprs]
         self._right_fns = [compile_expression(e, right.schema) for e in right_exprs]
         #: The physical plan the cost planner chose at execution time (None
-        #: until the join has run, and on the forced legacy WORKERS paths).
+        #: until the join has run, and on forced WORKERS plans).
         self.last_plan: "Optional[PhysicalPlan]" = None
 
     def rows(self) -> Iterator[Row]:
@@ -177,8 +177,7 @@ class SimilarityJoin(PhysicalOperator):
     def annotations(self) -> List[str]:
         if self.last_plan is not None:
             return [self.last_plan.describe()]
-        from repro.engine.cost import planner_delegated
-        from repro.engine.planner import resolve_workers
+        from repro.engine.cost import planner_delegated, resolve_workers
 
         if not planner_delegated(self.workers):
             count = resolve_workers(self.workers)

@@ -22,8 +22,13 @@ from repro.core.pointset import PointSet
 from repro.core.result import GroupingResult, canonicalize_groups
 from repro.core.sgb_all import SGBAllGrouper, SGBAllStrategy
 from repro.core.sgb_any import SGBAnyGrouper, SGBAnyStrategy
-from repro.engine.cost import plan_sgb_all, plan_sgb_any, planner_delegated
-from repro.engine.planner import resolve_workers
+from repro.engine.cost import (
+    forced_plan,
+    plan_sgb_all,
+    plan_sgb_any,
+    planner_delegated,
+    resolve_workers,
+)
 from repro.engine.stats import collect_stats
 from repro.engine.workers import sgb_any_sharded
 from repro.exceptions import CatalogError, ExecutionError, InvalidParameterError
@@ -84,7 +89,7 @@ class SGBAggregate(PhysicalOperator):
         self.key_exprs = list(key_exprs)
         self.aggregates = list(aggregates)
         #: The physical plan the cost planner chose at execution time (None
-        #: until rows() has run, and on the forced legacy WORKERS paths).
+        #: until rows() has run, and on forced WORKERS plans).
         self.last_plan: "Optional[PhysicalPlan]" = None
         self._key_fns = [compile_expression(e, child.schema) for e in key_exprs]
         self._evaluator = _AggregateEvaluator(aggregates, child.schema)
@@ -298,55 +303,52 @@ class SGBAggregate(PhysicalOperator):
         sharded engine; SGB-All's arbitration is order-dependent, so it
         always runs serially regardless.  A sharded batch with
         ``agg_columns`` pushes the aggregates into the workers when
-        :meth:`_pushdown_wanted` allows it.
+        :meth:`_pushdown_wanted` allows it; a push-down that degrades (fewer
+        than two shards, or a broken pool) goes straight to the serial
+        grouper and the caller's replay.
         """
-        # Resolve outside the try below: a bad SGB_WORKERS value is a
-        # configuration error and must not be re-labelled as a data error.
         # The sharded engine runs the INDEX pipeline per shard.
         shardable = self.kind == "any" and self._any_strategy() is SGBAnyStrategy.INDEX
         delegated = shardable and planner_delegated(self.workers)
-        parallel = (
-            shardable and not delegated and resolve_workers(self.workers) > 1
-        )
+        # Plan a forced count outside the try below: a bad SGB_WORKERS value
+        # is a configuration error and must not be re-labelled as a data error.
         plan = None
+        if shardable and not delegated:
+            plan = forced_plan("sgb_any", len(columns[0]), self.workers)
         try:
             points = PointSet.from_columns(columns)
             if delegated:
                 plan = plan_sgb_any(collect_stats(points), self.eps)
                 self.last_plan = plan
-                parallel = plan.mode == "sharded"
-            if parallel:
-                workers, shards = (
-                    (self.workers, None) if plan is None else (plan.workers, plan.shards)
-                )
-                pushed = None
+            grouped = None
+            if plan is not None and plan.mode == "sharded":
                 if agg_columns is not None and self._pushdown_wanted(
                     agg_columns, delegated, len(points)
                 ):
-                    pushed = sgb_any_pushdown(
-                        points, self.eps, self.metric, workers, self.aggregates,
-                        agg_columns, shards=shards,
+                    grouped = sgb_any_pushdown(
+                        points, self.eps, self.metric, plan.workers, self.aggregates,
+                        agg_columns, shards=plan.shards,
                     )
-                result, accumulators = pushed or (
-                    sgb_any_sharded(
-                        points, eps=self.eps, metric=self.metric,
-                        workers=workers, shards=shards,
-                    ),
-                    None,
-                )
-                result.plan = plan
-                return result, accumulators
-            grouper = self._make_grouper()
-            grouper.add_batch(points)
+                else:
+                    grouped = (
+                        sgb_any_sharded(
+                            points, eps=self.eps, metric=self.metric,
+                            workers=plan.workers, shards=plan.shards,
+                        ),
+                        None,
+                    )
+            if grouped is None:
+                grouper = self._make_grouper()
+                grouper.add_batch(points)
         except InvalidParameterError as exc:
             # Surface core-layer validation (e.g. NaN grouping values) as
             # an executor error so engine callers see a DatabaseError.
             raise ExecutionError(
                 f"invalid similarity grouping attributes: {exc}"
             ) from exc
-        result = grouper.finalize()
-        result.plan = plan
-        return result, None
+        result, accumulators = grouped or (grouper.finalize(), None)
+        result.plan = plan if delegated else None
+        return result, accumulators
 
     def _pushdown_wanted(
         self, agg_columns: List[Optional[List[object]]], delegated: bool, rows: int

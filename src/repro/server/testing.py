@@ -71,7 +71,11 @@ class ServerThread:
             loop.close()
 
     def stop(self, timeout: float = 20.0) -> None:
-        """Stop serving and join the thread (idempotent)."""
+        """Stop serving and join the thread (idempotent).
+
+        Raises :class:`RuntimeError` when the thread is still alive after
+        ``timeout`` seconds (a drain that hangs), instead of forgetting it.
+        """
         if self._thread is None or self._loop is None:
             return
         if self._thread.is_alive():
@@ -80,6 +84,10 @@ class ServerThread:
             except RuntimeError:  # loop already closed
                 pass
         self._thread.join(timeout=timeout)
+        if self._thread.is_alive():
+            raise RuntimeError(
+                f"{self._thread.name} still running {timeout}s after stop()"
+            )
         self._thread = None
 
     def __enter__(self) -> "ServerThread":

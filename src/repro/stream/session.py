@@ -35,6 +35,7 @@ paths share), enforced by the randomized equivalence suite.
 
 from __future__ import annotations
 
+import sys
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
@@ -45,7 +46,7 @@ from repro.core.pointset import PointSet
 from repro.core.result import GroupingResult, canonicalize_groups
 from repro.core.sgb_any import SGBAnyGrouper
 from repro.dstruct.union_find import UnionFind
-from repro.engine.planner import plan_shards, resolve_workers
+from repro.engine.cost import forced_plan, plan_stream_flush, planner_delegated
 from repro.exceptions import DimensionalityError, InvalidParameterError
 from repro.stream.deltas import DeltaEvent, diff_flushes
 from repro.stream.window import CountWindow, TickWindow, WindowPolicy
@@ -203,33 +204,26 @@ class StreamingSGB:
     def _plan_sharded_mode(self, workers: "Optional[int | str]") -> bool:
         """Decide between per-flush sharding and the incremental mode.
 
-        More than one resolved worker requests sharding, but the engine
-        planner has the final word: a count window caps the live point count
-        at ``policy.size``, so when that can never reach the parallel floor
-        (``SGB_PARALLEL_MIN_POINTS``) every flush would pay pool overhead
+        A delegated mode choice (``workers="auto"`` / no knob) asks the cost
+        planner (:func:`repro.engine.cost.plan_stream_flush`) to price the
+        incremental forest read against a sharded per-flush regroup of the
+        window; the chosen plan is kept on ``self.plan``.  A forced worker
+        count goes through :func:`repro.engine.cost.forced_plan`: a count
+        window caps the live point count at ``policy.size``, so when that can
+        never reach the parallel floor every flush would pay pool overhead
         for a payload the planner degrades to serial anyway — the session
         then stays incremental, which is strictly cheaper.  Tick windows
         carry no point-count bound, so they keep the requested sharding and
-        rely on the same per-flush planner check inside the engine.
-
-        A delegated mode choice (``workers="auto"`` / no knob) instead asks
-        the cost planner (:func:`repro.engine.cost.plan_stream_flush`) to
-        price the incremental forest read against a sharded per-flush
-        regroup of the window; the chosen plan is kept on ``self.plan``.
-        Both modes flush bit-identical results.
+        rely on the same per-flush planner check inside the engine.  Both
+        modes flush bit-identical results.
         """
-        from repro.engine.cost import plan_stream_flush, planner_delegated
-
+        counted = self.policy.kind == "count"
         self.plan = None
         if planner_delegated(workers):
-            window_points = self.policy.size if self.policy.kind == "count" else 0
-            self.plan = plan_stream_flush(window_points, self.eps)
-            return self.plan.mode == "sharded-flush"
-        if resolve_workers(workers) <= 1:
-            return False
-        if self.policy.kind != "count":
-            return True
-        return plan_shards(self.policy.size, self.eps, workers).parallel
+            self.plan = plan_stream_flush(self.policy.size if counted else 0, self.eps)
+            return self.plan.parallel
+        bound = self.policy.size if counted else sys.maxsize
+        return forced_plan("stream_flush", bound, workers).parallel
 
     @staticmethod
     def _resolve_policy(

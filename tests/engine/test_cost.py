@@ -15,9 +15,12 @@ import warnings
 
 import pytest
 
+from repro.core.api import sgb_any
 from repro.core.pointset import PointSet
 from repro.engine.calibrate import DEFAULT_PROFILE
 from repro.engine.cost import (
+    ENV_WORKERS,
+    forced_plan,
     fused_join_group_gain,
     plan_eps_join,
     plan_knn_join,
@@ -25,9 +28,11 @@ from repro.engine.cost import (
     plan_sgb_any,
     plan_stream_flush,
     planner_delegated,
+    resolve_workers,
 )
-from repro.engine.planner import ENV_WORKERS, plan_shards, resolve_workers
 from repro.engine.stats import collect_stats, synthetic_stats
+from repro.join import eps_join
+from repro.minidb import Database
 
 PROFILE = DEFAULT_PROFILE
 
@@ -218,14 +223,14 @@ class TestWorkerClamp:
 
     def test_environment_clamped_with_warning(self, monkeypatch):
         monkeypatch.setenv(ENV_WORKERS, "16")
-        monkeypatch.setattr("repro.engine.planner.os.cpu_count", lambda: 2)
+        monkeypatch.setattr("repro.engine.cost.os.cpu_count", lambda: 2)
         with pytest.warns(RuntimeWarning, match="clamping the pool"):
             assert resolve_workers(None) == 2
 
-    def test_plan_shards_numeric_path_clamped(self):
+    def test_forced_plan_numeric_path_clamped(self):
         with pytest.warns(RuntimeWarning, match="clamping the pool"):
-            plan = plan_shards(100_000, eps=0.5, workers=64, cpu_count=4)
-        assert plan.workers == 4
+            plan = forced_plan("sgb_any", 100_000, workers=64, cpu_count=4)
+        assert plan.mode == "sharded" and plan.workers == 4
 
     def test_within_capacity_is_silent(self):
         with warnings.catch_warnings():
@@ -238,3 +243,34 @@ class TestWorkerClamp:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert resolve_workers(2, cpu_count=1) == 2
+
+
+def _forced_sql(points):
+    db = Database()
+    db.create_table("pts", [("x", "FLOAT"), ("y", "FLOAT")])
+    db.insert_rows("pts", points)
+    return db.execute(
+        "SELECT count(*) FROM pts GROUP BY x, y DISTANCE-TO-ANY L2 WITHIN 0.3 WORKERS 16"
+    )
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda pts: sgb_any(pts, 0.3, workers=16),
+        lambda pts: eps_join(pts, pts, 0.3, workers=16),
+        _forced_sql,
+    ],
+    ids=["sgb_any", "eps_join", "sql"],
+)
+def test_forced_call_warns_once_about_the_clamp(call, monkeypatch):
+    """A forced call resolves its worker count once, so it warns once."""
+    monkeypatch.delenv(ENV_WORKERS, raising=False)
+    monkeypatch.setattr("repro.engine.cost.os.cpu_count", lambda: 2)
+    rng = random.Random(7)
+    points = [(rng.random() * 10.0, rng.random() * 10.0) for _ in range(200)]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        call(points)
+    clamps = [w for w in caught if "clamping the pool" in str(w.message)]
+    assert [w.category for w in clamps] == [RuntimeWarning]

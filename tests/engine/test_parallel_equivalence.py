@@ -118,7 +118,7 @@ class TestApiIntegration:
 
     def test_environment_default_routes_through_engine(self, monkeypatch):
         monkeypatch.setenv("SGB_WORKERS", "2")
-        monkeypatch.setenv("SGB_PARALLEL_MIN_POINTS", "32")
+        monkeypatch.setattr("repro.engine.cost.MIN_PARALLEL_POINTS", 32)
         pts = _clustered(300, seed=8)
         monkeypatch.delenv("SGB_WORKERS", raising=False)
         baseline = sgb_any(pts, eps=0.9)

@@ -16,7 +16,7 @@ import pytest
 
 from repro.core.pointset import HAVE_NUMPY, PointSet
 from repro.engine.cost import PhysicalPlan
-from repro.engine.planner import ENV_WORKERS
+from repro.engine.cost import ENV_WORKERS
 from repro import sgb_all, sgb_any, sim_join
 
 BACKENDS = ["numpy", "python"] if HAVE_NUMPY else ["python"]

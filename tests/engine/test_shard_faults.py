@@ -2,7 +2,8 @@
 
 Every sharded driver follows one policy: a missing or broken pool is
 dropped and the driver answers from its serial reference (the aggregate
-push-down returns ``None`` and the executor replays), while an error raised
+push-down returns ``None`` and the executor groups serially and replays,
+without a second pool), while an error raised
 by the in-process stitch is a bug and propagates.  At most two workers run.
 """
 
@@ -129,6 +130,10 @@ def test_broken_pool_falls_back_to_the_serial_reference(driver, fail_at, pools, 
     assert run(monkeypatch) == expected
     assert stub.submits > 0 and stub.shut_down
     assert pools.get(2) is not stub
+    if driver == "pushdown":
+        # The degraded push-down goes straight to the serial grouper and the
+        # replay: no second pool is spawned for the same batch.
+        assert 2 not in pools
 
 
 @pytest.mark.parametrize(

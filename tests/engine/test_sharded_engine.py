@@ -16,12 +16,7 @@ from repro.core.pointset import HAVE_NUMPY, PointSet
 from repro.dstruct.union_find import UnionFind
 from repro.engine.merge import canonical_groups, merge_shard_forests
 from repro.engine.partition import partition_pointset
-from repro.engine.planner import (
-    ENV_MIN_POINTS,
-    ENV_WORKERS,
-    plan_shards,
-    resolve_workers,
-)
+from repro.engine.cost import ENV_WORKERS, forced_plan, resolve_workers
 from repro.exceptions import InvalidParameterError
 
 BACKENDS = ["python"] + (["numpy"] if HAVE_NUMPY else [])
@@ -143,23 +138,22 @@ class TestPlanner:
         with pytest.raises(InvalidParameterError):
             resolve_workers(None)
 
-    def test_small_payloads_stay_serial(self, monkeypatch):
-        monkeypatch.delenv(ENV_MIN_POINTS, raising=False)
-        plan = plan_shards(10, eps=0.5, workers=4, cpu_count=8)
-        assert not plan.parallel and plan.workers == 1
+    def test_small_payloads_stay_serial(self):
+        plan = forced_plan("sgb_any", 10, workers=4, cpu_count=8)
+        assert plan.mode == "serial" and not plan.parallel and plan.workers == 1
 
-    def test_min_points_environment_override(self, monkeypatch):
-        monkeypatch.setenv(ENV_MIN_POINTS, "5")
-        plan = plan_shards(10, eps=0.5, workers=4, cpu_count=8)
-        assert plan.parallel
+    def test_min_points_constant_override(self, monkeypatch):
+        monkeypatch.setattr("repro.engine.cost.MIN_PARALLEL_POINTS", 5)
+        plan = forced_plan("sgb_any", 10, workers=4, cpu_count=8)
+        assert plan.mode == "sharded" and plan.parallel
 
-    def test_parallel_plan_shape(self, monkeypatch):
-        monkeypatch.delenv(ENV_MIN_POINTS, raising=False)
-        plan = plan_shards(10_000, eps=0.5, workers=4, cpu_count=8)
-        assert plan.parallel and plan.workers == 4 and plan.shards == 4
+    def test_parallel_plan_shape(self):
+        plan = forced_plan("sgb_any", 10_000, workers=4, cpu_count=8)
+        assert plan.mode == "sharded"
+        assert plan.workers == 4 and plan.shards == 4
 
     def test_auto_is_capped_by_cpu_count(self):
-        plan = plan_shards(10_000, eps=0.5, workers="auto", cpu_count=2)
+        plan = forced_plan("sgb_any", 10_000, workers="auto", cpu_count=2)
         assert plan.workers <= 2
 
 

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from repro.engine.partition import partition_pointset
-from repro.engine.planner import ENV_MIN_POINTS, ENV_WORKERS
+from repro.engine.cost import ENV_WORKERS
 from repro.core.pointset import PointSet
 from repro.join import eps_join, eps_join_sharded
 
@@ -82,12 +82,11 @@ class TestWorkerPoolPath:
 
     def test_env_workers_are_honoured(self, monkeypatch):
         monkeypatch.setenv(ENV_WORKERS, "2")
-        monkeypatch.setenv(ENV_MIN_POINTS, "8")
+        monkeypatch.setattr("repro.engine.cost.MIN_PARALLEL_POINTS", 8)
         left, right = _boundary_heavy_sides(seed=61, n=150)
         assert eps_join(left, right, EPS) == eps_join(left, right, EPS, workers=1)
 
-    def test_below_the_parallel_floor_stays_serial(self, monkeypatch):
-        monkeypatch.delenv(ENV_MIN_POINTS, raising=False)
+    def test_below_the_parallel_floor_stays_serial(self):
         left = [(0.0, 0.0), (1.0, 1.0)]
         right = [(0.1, 0.1)]
         # Tiny payloads plan serial even with workers requested; the result

@@ -11,7 +11,7 @@ import random
 
 import pytest
 
-from repro.engine.planner import ENV_WORKERS
+from repro.engine.cost import ENV_WORKERS
 from repro.exceptions import SqlSyntaxError
 from repro.minidb.database import Database
 

@@ -271,14 +271,11 @@ class TestCacheCoherence:
         # and the push-down cost gate is forced open.  The count(*) list then
         # pushes down; the float avg passes the gate but not the int check
         # and replays from the same value columns.
-        import importlib
-
         import repro.minidb.exec.sgb as sgb_module
+        from repro.engine.calibrate import CostProfile
         from repro.engine.cost import PhysicalPlan
         from repro.minidb.exec.aggregate import _AggregateEvaluator
 
-        # The package re-exports a calibrate() function over the module name.
-        calibrate_module = importlib.import_module("repro.engine.calibrate")
         reference = _make_db(values="float").execute(query.format(workers=""))
         monkeypatch.delenv("SGB_WORKERS", raising=False)
         monkeypatch.setattr(
@@ -289,9 +286,8 @@ class TestCacheCoherence:
             ),
         )
         monkeypatch.setattr(
-            calibrate_module,
-            "load_profile",
-            lambda: calibrate_module.CostProfile(
+            "repro.engine.calibrate.load_profile",
+            lambda: CostProfile(
                 c_point=1.0, c_pair=1.0, c_task=0.0, c_ship=0.0
             ),
         )

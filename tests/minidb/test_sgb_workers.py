@@ -95,7 +95,7 @@ class TestExecutionParity:
         monkeypatch.delenv("SGB_WORKERS", raising=False)
         serial = _make_db().execute(QUERY.format(workers=""))
         monkeypatch.setenv("SGB_WORKERS", "2")
-        monkeypatch.setenv("SGB_PARALLEL_MIN_POINTS", "32")
+        monkeypatch.setattr("repro.engine.cost.MIN_PARALLEL_POINTS", 32)
         parallel = _make_db().execute(QUERY.format(workers=""))
         assert parallel.rows == serial.rows
 

@@ -97,6 +97,7 @@ def test_eight_threads_mixed_routes_match_serial_replay(server):
         thread.start()
     for thread in threads:
         thread.join(timeout=120)
+        assert not thread.is_alive(), f"{thread.name} still running after 120 s"
     assert not failures, f"{len(failures)} divergences: {failures[:3]}"
 
 
@@ -131,11 +132,15 @@ def test_concurrent_requests_share_the_result_cache_safely(make_db):
             finally:
                 client.close()
 
-        threads = [threading.Thread(target=worker) for _ in range(N_THREADS)]
+        threads = [
+            threading.Thread(target=worker, name=f"cache-client-{i}")
+            for i in range(N_THREADS)
+        ]
         for thread in threads:
             thread.start()
         for thread in threads:
             thread.join(timeout=120)
+            assert not thread.is_alive(), f"{thread.name} still running after 120 s"
     assert len(results) == N_THREADS * 4
     assert all(result == expected for result in results)
     # The shared cache actually served repeats, and its counters stayed sane.

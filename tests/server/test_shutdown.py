@@ -68,6 +68,33 @@ def test_stop_leaves_engine_worker_pools_usable(make_db):
     assert W.pool_stats()["shutting_down"] is False
 
 
+def test_stop_raises_when_the_thread_outlives_the_timeout():
+    import asyncio
+    import threading
+
+    from repro.server.testing import ServerThread
+
+    # A thread stuck outside its event loop (a drain that never returns)
+    # must fail stop() loudly rather than be forgotten.
+    release = threading.Event()
+    stuck = threading.Thread(target=release.wait, name="stuck-server", daemon=True)
+    server = ServerThread(app=None)  # type: ignore[arg-type]
+    server._loop = asyncio.new_event_loop()
+    server._thread = stuck
+    stuck.start()
+    try:
+        with pytest.raises(RuntimeError, match="stuck-server still running"):
+            server.stop(timeout=0.05)
+        assert server._thread is stuck
+    finally:
+        release.set()
+        stuck.join(timeout=10)
+        server._loop.close()
+    assert not stuck.is_alive()
+    server.stop(timeout=1.0)
+    assert server._thread is None
+
+
 # ---------------------------------------------------------------------------
 # real-subprocess SIGTERM drain
 # ---------------------------------------------------------------------------

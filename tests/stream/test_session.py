@@ -196,41 +196,37 @@ class TestStreamGroups:
 
 
 class TestParallelFloor:
-    """Per-flush sharding respects the engine planner's parallel floor.
+    """Per-flush sharding respects the planner's parallel floor.
 
     A count window bounds the live point count at ``policy.size``; below
-    ``SGB_PARALLEL_MIN_POINTS`` every flush would pay worker-pool overhead
-    for a payload the engine planner degrades to serial anyway, so the
-    session must stay in the (cheaper) incremental mode.
+    ``repro.engine.cost.MIN_PARALLEL_POINTS`` every flush would pay
+    worker-pool overhead for a payload the planner degrades to serial
+    anyway, so the session must stay in the (cheaper) incremental mode.
     """
 
-    def test_small_count_window_stays_incremental(self, monkeypatch):
-        monkeypatch.delenv("SGB_PARALLEL_MIN_POINTS", raising=False)
+    def test_small_count_window_stays_incremental(self):
         session = StreamingSGB(eps=1.0, window=40, slide=20, workers=2)
         assert session._sharded is False  # 40 < the default 64-point floor
         # Incremental mode maintains per-epoch groupers.
         flushes = ingest_all(session, CLUSTER_A + CLUSTER_B + BRIDGE + BRIDGE)
         assert flushes and all(w.result.is_partition() for w in flushes)
 
-    def test_large_count_window_shards(self, monkeypatch):
-        monkeypatch.delenv("SGB_PARALLEL_MIN_POINTS", raising=False)
+    def test_large_count_window_shards(self):
         session = StreamingSGB(eps=1.0, window=128, slide=64, workers=2)
         assert session._sharded is True
 
-    def test_floor_env_override_is_honoured(self, monkeypatch):
-        monkeypatch.setenv("SGB_PARALLEL_MIN_POINTS", "8")
+    def test_floor_override_is_honoured(self, monkeypatch):
+        monkeypatch.setattr("repro.engine.cost.MIN_PARALLEL_POINTS", 8)
         assert StreamingSGB(eps=1.0, window=16, slide=8, workers=2)._sharded
         assert not StreamingSGB(eps=1.0, window=4, slide=2, workers=2)._sharded
 
-    def test_tick_windows_keep_requested_sharding(self, monkeypatch):
-        monkeypatch.delenv("SGB_PARALLEL_MIN_POINTS", raising=False)
+    def test_tick_windows_keep_requested_sharding(self):
         # Tick windows carry no point-count bound: the mode stays sharded and
-        # the per-flush engine planner makes the serial/parallel call.
+        # the per-flush planner makes the serial/parallel call.
         session = StreamingSGB(
             eps=1.0, window=TickWindow(size=20, slide=10), workers=2
         )
         assert session._sharded is True
 
-    def test_serial_sessions_unaffected(self, monkeypatch):
-        monkeypatch.delenv("SGB_PARALLEL_MIN_POINTS", raising=False)
+    def test_serial_sessions_unaffected(self):
         assert StreamingSGB(eps=1.0, window=256, slide=128, workers=1)._sharded is False

@@ -119,13 +119,13 @@ class TestWorkerEquivalence:
 
     The parallel floor is lowered to one point so the small windows these
     tests use really run the sharded mode (a count window below
-    ``SGB_PARALLEL_MIN_POINTS`` stays incremental by design — covered by
+    ``repro.engine.cost.MIN_PARALLEL_POINTS`` stays incremental by design — covered by
     ``test_session.TestParallelFloor``).
     """
 
     @pytest.mark.parametrize("size,slide", [(40, 40), (60, 20)])
     def test_workers_1_vs_2_bit_identical(self, size, slide, monkeypatch):
-        monkeypatch.setenv("SGB_PARALLEL_MIN_POINTS", "1")
+        monkeypatch.setattr("repro.engine.cost.MIN_PARALLEL_POINTS", 1)
         points = _stream_points(220, seed=41)
         sessions = {
             w: StreamingSGB(eps=0.9, window=size, slide=slide, workers=w)
@@ -152,7 +152,7 @@ class TestWorkerEquivalence:
         _assert_flushes_match_scratch(flushes[2], points, 0.9, "L2")
 
     def test_sharded_flushes_match_scratch_on_ticks(self, monkeypatch):
-        monkeypatch.setenv("SGB_PARALLEL_MIN_POINTS", "1")
+        monkeypatch.setattr("repro.engine.cost.MIN_PARALLEL_POINTS", 1)
         rng = random.Random(53)
         points = _stream_points(160, seed=53)
         ticks = sorted(rng.randint(0, 300) for _ in points)
