@@ -29,12 +29,6 @@ SLACK = 1.3
 @pytest.fixture(autouse=True)
 def _delegated_environment(monkeypatch):
     monkeypatch.delenv(ENV_WORKERS, raising=False)
-    monkeypatch.setenv("SGB_COST_PROFILE", "off")
-    from repro.engine.calibrate import reset_profile_cache
-
-    reset_profile_cache()
-    yield
-    reset_profile_cache()
 
 
 def _points(n: int):

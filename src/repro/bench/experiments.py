@@ -1048,7 +1048,7 @@ def optimizer_rewrites(
     eps: float = 3.0,
     seed: int = 47,
 ) -> List[Dict[str, object]]:
-    """Rewrite-layer speedups: optimized plans vs ``SGB_OPTIMIZER=off``.
+    """Rewrite-layer speedups: optimized plans vs ``optimizer=False``.
 
     Two workloads, each run through a database with the optimizer on and an
     identically loaded one with ``optimizer=False``: a selective filter over

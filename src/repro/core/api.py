@@ -91,7 +91,6 @@ def sgb_all(
     seed: int = 0,
     index_factory: Optional[IndexFactory] = None,
     batch: bool = True,
-    frontier: bool = True,
     planner: bool = True,
     cache: object = None,
 ) -> GroupingResult:
@@ -121,10 +120,6 @@ def sgb_all(
         Route through the batched columnar pipeline (default).  ``False``
         forces the scalar point-at-a-time reference path; both produce
         identical results.
-    frontier:
-        Allow the batch path's whole-frontier candidate discovery (default).
-        ``False`` keeps the legacy per-point batch loop; results are
-        identical either way.
     planner:
         Let the cost planner pick scalar vs frontier from the batch's
         statistics (default; advisory about time only, recorded on
@@ -168,7 +163,6 @@ def sgb_all(
         seed=seed,
         index_factory=index_factory,
         batch=batch,
-        frontier=frontier,
         planner=planner,
     )
     if resolved is not None:

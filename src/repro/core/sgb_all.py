@@ -151,11 +151,7 @@ class SGBAllGrouper:
         for point in points:
             self.add(point)
 
-    def add_batch(
-        self,
-        points: "PointSet | Sequence[Sequence[float]]",
-        frontier: bool = True,
-    ) -> None:
+    def add_batch(self, points: "PointSet | Sequence[Sequence[float]]") -> None:
         """Process a whole batch of points through the columnar pipeline.
 
         SGB-All's arbitration (JOIN-ANY randomness, group formation order)
@@ -171,9 +167,7 @@ class SGBAllGrouper:
         set in O(degree) — no per-point index probe, no per-member distance
         re-checks.  Ineligible configurations (where the reference filter is
         deliberately approximate, so adjacency alone cannot reproduce its
-        decisions) keep the legacy per-point batch loop; ``frontier=False``
-        forces that loop everywhere, which the parity suite uses to compare
-        the two paths.
+        decisions) keep the per-point loop of :meth:`add`.
         """
         if is_empty_batch(points):
             # Degenerate batch: a strict no-op — no PointSet normalisation
@@ -192,9 +186,7 @@ class SGBAllGrouper:
                     f"input row index {base + offset} was already added to this grouper"
                 )
         neighbours = (
-            self._batch_neighbours(ps, base)
-            if frontier and self._frontier_eligible(ps.dims)
-            else None
+            self._batch_neighbours(ps, base) if self._frontier_eligible(ps.dims) else None
         )
         for offset, pt in enumerate(tuples):
             index = base + offset
@@ -494,7 +486,6 @@ def sgb_all_grouping(
     seed: int = 0,
     index_factory: Optional[IndexFactory] = None,
     batch: bool = True,
-    frontier: bool = True,
     planner: bool = True,
 ) -> GroupingResult:
     """Group ``points`` with the SGB-All operator and return the result.
@@ -503,14 +494,12 @@ def sgb_all_grouping(
     ``metric`` the ``DISTANCE-TO-ALL`` metric (``L2``/``LINF``), ``on_overlap``
     the ``ON-OVERLAP`` action, and ``strategy`` selects the paper's All-Pairs,
     Bounds-Checking, or on-the-fly Index algorithm.  ``batch=False`` forces
-    the scalar point-at-a-time reference path, and ``frontier=False`` keeps
-    the batch path but disables its whole-frontier candidate discovery; all
-    three paths produce identical results (enforced by the parity test
-    suite).
+    the scalar point-at-a-time reference path; both paths produce identical
+    results (enforced by the parity test suite).
 
-    With the default pipeline flags (``batch=True``, ``frontier=True``, no
-    explicit index or strategy) the cost planner scores the scalar vs
-    frontier candidates and records its advisory choice on ``result.plan``;
+    With the default pipeline flags (``batch=True``, no explicit index or
+    strategy) the cost planner scores the scalar vs frontier candidates and
+    records its advisory choice on ``result.plan``;
     explicitly pinned flags — or ``planner=False`` — bypass the planner so
     benchmarks measure the path they named.
     """
@@ -526,7 +515,6 @@ def sgb_all_grouping(
     if (
         planner
         and batch
-        and frontier
         and index_factory is None
         and SGBAllStrategy.parse(strategy) is SGBAllStrategy.INDEX
     ):
@@ -537,7 +525,7 @@ def sgb_all_grouping(
         plan = plan_sgb_all(collect_stats(ps), grouper.eps)
         points = ps
     if batch and not (plan is not None and plan.mode == "scalar"):
-        grouper.add_batch(points, frontier=frontier)
+        grouper.add_batch(points)
     elif plan is not None and plan.mode == "scalar":
         grouper.add_all(PointSet.from_any(points).to_tuples())
     else:

@@ -386,7 +386,7 @@ def sgb_any_grouping(
 
         points = PointSet.from_any(points)
         if planner_delegated(workers):
-            # Cost-based route: statistics + calibrated formulas pick the
+            # Cost-based route: statistics + constant unit costs pick the
             # mode.  Advisory about time only — every candidate is
             # result-identical.
             from repro.engine.stats import collect_stats

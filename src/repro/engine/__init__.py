@@ -23,9 +23,9 @@ within ``eps`` of each other.  That makes SGB-Any embarrassingly partitionable:
    for one :class:`~repro.engine.cost.PhysicalPlan` and runs the mode it
    names.  When the caller passes ``workers="auto"`` or no knob at all, the
    cost model scores serial vs sharded candidates on the batch summary from
-   :mod:`repro.engine.stats` (count, bbox, per-axis histograms) with unit
-   costs measured once per machine by :mod:`repro.engine.calibrate`; a
-   numeric worker count (argument or ``SGB_WORKERS``) is forced, and
+   :mod:`repro.engine.stats` (count, bbox, per-axis histograms) with the
+   constant unit costs of :data:`~repro.engine.cost.PROFILE`; a numeric
+   worker count (argument or ``SGB_WORKERS``) is forced, and
    :func:`~repro.engine.cost.forced_plan` sizes the pool from that count and
    the row count alone.
 
@@ -34,8 +34,9 @@ relabelling (groups ordered by smallest member, members ascending), which the
 randomized equivalence suite enforces — plans are advisory about time only.
 """
 
-from repro.engine.calibrate import CostProfile, load_profile
 from repro.engine.cost import (
+    PROFILE,
+    CostProfile,
     PhysicalPlan,
     forced_plan,
     plan_eps_join,
@@ -58,6 +59,7 @@ from repro.engine.workers import (
 
 __all__ = [
     "CostProfile",
+    "PROFILE",
     "GridPartition",
     "HaloBand",
     "PhysicalPlan",
@@ -66,7 +68,6 @@ __all__ = [
     "canonical_groups",
     "collect_stats",
     "forced_plan",
-    "load_profile",
     "merge_shard_forests",
     "partition_pointset",
     "plan_eps_join",

@@ -1,9 +1,9 @@
 """Cost-based physical planning for the SGB operators and similarity joins.
 
-Given a :class:`~repro.engine.stats.PointStats` summary of the input (and a
-machine :class:`~repro.engine.calibrate.CostProfile`), the planners here
-score every *candidate execution mode* of an operator and return a
-:class:`PhysicalPlan` naming the winner with its estimated cost:
+Given a :class:`~repro.engine.stats.PointStats` summary of the input, the
+planners here price every *candidate execution mode* of an operator with the
+unit costs in :data:`PROFILE` and return a :class:`PhysicalPlan` naming the
+winner with its estimated cost:
 
 =============  ==========================================================
 operator       candidate modes
@@ -43,13 +43,14 @@ import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.engine.calibrate import CostProfile, load_profile
 from repro.engine.stats import PointStats
 from repro.exceptions import InvalidParameterError
 
 __all__ = [
+    "CostProfile",
     "ENV_WORKERS",
     "MIN_PARALLEL_POINTS",
+    "PROFILE",
     "PhysicalPlan",
     "forced_plan",
     "planner_delegated",
@@ -69,6 +70,31 @@ ENV_WORKERS = "SGB_WORKERS"
 #: payloads plus shipping the forests back) outweighs the grouping work, so
 #: every plan stays serial, forced or delegated.
 MIN_PARALLEL_POINTS = 64
+
+
+@dataclass(frozen=True)
+class CostProfile:
+    """Unit costs, in seconds, for the planner's formulas.
+
+    ``c_point`` ingests one point through the eps-grid (hashing, binning);
+    ``c_pair`` verifies one candidate pair (distance test + union);
+    ``c_task`` is the fixed overhead of one shard task (pickling the closure,
+    scheduling); ``c_ship`` ships one point to a worker process and its
+    grouped rows back.
+    """
+
+    c_point: float
+    c_pair: float
+    c_task: float
+    c_ship: float
+
+
+#: The one set of unit costs every plan is priced with.  Derived from a
+#: mid-range laptop, with the pool costs rounded *up* so the planner only
+#: goes parallel when the win is unambiguous; a wrong mode choice costs time,
+#: never correctness.  Constant, so a plan depends only on its inputs and
+#: the core count, never on files the machine happens to hold.
+PROFILE = CostProfile(c_point=2.0e-6, c_pair=1.5e-7, c_task=3.0e-3, c_ship=1.0e-6)
 
 #: Estimated serial runtimes below this are not worth parallelising no
 #: matter what the formulas say: pool latency and result shipping are
@@ -216,7 +242,6 @@ def _sharded_candidate(
     serial_work: float,
     ship_rows: int,
     workers: int,
-    profile: CostProfile,
 ) -> Tuple[float, int, Dict[str, float]]:
     """Best sharded cost for ``workers`` processes: (cost, fan-out, table).
 
@@ -241,8 +266,8 @@ def _sharded_candidate(
         makespan = max(max(slab_costs), sum(slab_costs) / workers)
         cost = (
             makespan
-            + profile.c_task * len(loads)
-            + profile.c_ship * ship_rows
+            + PROFILE.c_task * len(loads)
+            + PROFILE.c_ship * ship_rows
         )
         detail[f"sharded@{fanout}"] = cost
         if cost < best_cost:
@@ -266,14 +291,12 @@ def plan_sgb_any(
     stats: PointStats,
     eps: float,
     cpu_count: Optional[int] = None,
-    profile: Optional[CostProfile] = None,
 ) -> PhysicalPlan:
     """Choose the execution mode for one SGB-Any batch."""
-    profile = profile or load_profile()
     n = stats.count
     pairs = stats.estimated_pairs(eps)
     est_rows = stats.estimated_groups(eps)
-    serial_cost = profile.c_point * n + profile.c_pair * pairs
+    serial_cost = PROFILE.c_point * n + PROFILE.c_pair * pairs
     if n < max(32, MIN_PARALLEL_POINTS):
         # The grid build isn't worth it for a handful of points, and the
         # partitioner refuses tiny payloads anyway.
@@ -290,7 +313,7 @@ def plan_sgb_any(
     details: Dict[str, float] = {"batch": serial_cost}
     if workers > 1:
         sharded_cost, fanout, detail = _sharded_candidate(
-            stats, serial_cost, ship_rows=n, workers=workers, profile=profile
+            stats, serial_cost, ship_rows=n, workers=workers
         )
         details.update(detail)
         if _pick_parallel("batch", serial_cost, sharded_cost):
@@ -321,7 +344,6 @@ def plan_sgb_all(
     stats: PointStats,
     eps: float,
     cpu_count: Optional[int] = None,
-    profile: Optional[CostProfile] = None,
 ) -> PhysicalPlan:
     """Choose the execution mode for one SGB-All batch.
 
@@ -330,12 +352,11 @@ def plan_sgb_all(
     frontier pipeline, which wins as soon as the batch has enough points to
     amortise its columnar staging.
     """
-    profile = profile or load_profile()
     n = stats.count
     pairs = stats.estimated_pairs(eps)
     est_rows = stats.estimated_groups(eps)
-    scalar_cost = (profile.c_point * 4.0) * n + profile.c_pair * pairs * 2.0
-    frontier_cost = profile.c_point * n + profile.c_pair * pairs
+    scalar_cost = (PROFILE.c_point * 4.0) * n + PROFILE.c_pair * pairs * 2.0
+    frontier_cost = PROFILE.c_point * n + PROFILE.c_pair * pairs
     details = {"scalar": scalar_cost, "frontier": frontier_cost}
     if n < 32:
         return PhysicalPlan(
@@ -361,18 +382,16 @@ def plan_eps_join(
     right: PointStats,
     eps: float,
     cpu_count: Optional[int] = None,
-    profile: Optional[CostProfile] = None,
 ) -> PhysicalPlan:
     """Choose all-pairs vs grid vs sharded-grid for one eps-join."""
-    profile = profile or load_profile()
     n_l, n_r = left.count, right.count
     est_pairs = left.estimated_join_pairs(right, eps)
     est_rows = int(round(est_pairs))
-    allpairs_cost = profile.c_pair * n_l * n_r
+    allpairs_cost = PROFILE.c_pair * n_l * n_r
     # The grid sweep builds cells over both sides and verifies only the
     # candidates in adjacent cells; candidates exceed true hits by a small
     # geometry factor (3^d cell neighbourhoods), priced here at 4x.
-    grid_cost = profile.c_point * (n_l + n_r) + profile.c_pair * 4.0 * max(
+    grid_cost = PROFILE.c_point * (n_l + n_r) + PROFILE.c_pair * 4.0 * max(
         est_pairs, 1.0
     )
     details = {"allpairs": allpairs_cost, "grid": grid_cost}
@@ -390,7 +409,7 @@ def plan_eps_join(
         # Shard the bigger side; both sides ship to the pool.
         big = left if n_l >= n_r else right
         sharded_cost, fanout, detail = _sharded_candidate(
-            big, grid_cost, ship_rows=n_l + n_r, workers=workers, profile=profile
+            big, grid_cost, ship_rows=n_l + n_r, workers=workers
         )
         details.update(detail)
         if _pick_parallel("grid", grid_cost, sharded_cost):
@@ -419,21 +438,19 @@ def plan_knn_join(
     right: PointStats,
     k: int,
     cpu_count: Optional[int] = None,
-    profile: Optional[CostProfile] = None,
 ) -> PhysicalPlan:
     """Choose serial vs sharded execution for one kNN-join."""
-    profile = profile or load_profile()
     n_l, n_r = left.count, right.count
     est_rows = n_l * min(k, n_r)
     # Build an index over the right side, then one expanding probe per left
     # point; probe cost grows with k (more candidates verified per probe).
     probe_pairs = float(n_l) * min(n_r, 8 * max(1, k))
-    serial_cost = profile.c_point * (n_l + n_r) + profile.c_pair * probe_pairs
+    serial_cost = PROFILE.c_point * (n_l + n_r) + PROFILE.c_pair * probe_pairs
     details = {"serial": serial_cost}
     workers = resolve_workers("auto", cpu_count)
     if workers > 1 and n_l >= MIN_PARALLEL_POINTS:
         sharded_cost, fanout, detail = _sharded_candidate(
-            left, serial_cost, ship_rows=n_l + n_r, workers=workers, profile=profile
+            left, serial_cost, ship_rows=n_l + n_r, workers=workers
         )
         details.update(detail)
         if _pick_parallel("serial", serial_cost, sharded_cost):
@@ -461,7 +478,6 @@ def plan_stream_flush(
     window_points: int,
     eps: float,
     cpu_count: Optional[int] = None,
-    profile: Optional[CostProfile] = None,
     stats: Optional[PointStats] = None,
 ) -> PhysicalPlan:
     """Incremental forest read vs per-flush sharded regroup for one window.
@@ -474,12 +490,11 @@ def plan_stream_flush(
     """
     from repro.engine.stats import synthetic_stats
 
-    profile = profile or load_profile()
     window_stats = stats if stats is not None else synthetic_stats(window_points)
-    regroup = plan_sgb_any(window_stats, eps, cpu_count=cpu_count, profile=profile)
+    regroup = plan_sgb_any(window_stats, eps, cpu_count=cpu_count)
     # Maintained-forest bookkeeping: roughly one point-cost per live point
     # (neighbour probes on ingest were already paid either way).
-    incremental_cost = profile.c_point * window_points
+    incremental_cost = PROFILE.c_point * window_points
     details = dict(regroup.details)
     details["incremental"] = incremental_cost
     if regroup.mode == "sharded" and regroup.est_cost < incremental_cost:
@@ -503,9 +518,7 @@ def plan_stream_flush(
     )
 
 
-def fused_join_group_gain(
-    left: PointStats, right: PointStats, eps: float, profile: Optional[CostProfile] = None
-) -> float:
+def fused_join_group_gain(left: PointStats, right: PointStats, eps: float) -> float:
     """Estimated seconds saved by fusing an eps-join into a downstream SGB.
 
     The materialized pipeline pays to emit every join pair as a row and
@@ -514,9 +527,8 @@ def fused_join_group_gain(
     cardinality — the planner fuses whenever the estimate is positive, and
     ``EXPLAIN`` surfaces the number.
     """
-    profile = profile or load_profile()
     est_pairs = left.estimated_join_pairs(right, eps)
-    return profile.c_ship * 2.0 * est_pairs + profile.c_point * est_pairs
+    return PROFILE.c_ship * 2.0 * est_pairs + PROFILE.c_point * est_pairs
 
 
 def filter_placement_gain(
@@ -524,7 +536,6 @@ def filter_placement_gain(
     other: PointStats,
     eps: float,
     selectivity: float,
-    profile: Optional[CostProfile] = None,
 ) -> float:
     """Estimated seconds saved by filtering one eps-join input *first*.
 
@@ -535,14 +546,10 @@ def filter_placement_gain(
     non-selective predicate whose early evaluation buys nothing but still
     costs a pass).  The rewrite layer records either decision in its trace.
     """
-    profile = profile or load_profile()
     selectivity = max(0.0, min(1.0, selectivity))
-    unfiltered = plan_eps_join(side, other, eps, profile=profile).est_cost
+    unfiltered = plan_eps_join(side, other, eps).est_cost
     shrunk = side.scaled(side.count * selectivity)
-    filtered = (
-        profile.c_point * side.count
-        + plan_eps_join(shrunk, other, eps, profile=profile).est_cost
-    )
+    filtered = PROFILE.c_point * side.count + plan_eps_join(shrunk, other, eps).est_cost
     return unfiltered - filtered
 
 

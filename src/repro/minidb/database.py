@@ -117,8 +117,8 @@ class Database:
     optimizer:
         Whether the cost-driven logical rewrite layer (filter placement,
         join reordering — :mod:`repro.minidb.plan.rewrite`) runs on SELECT
-        plans.  ``SGB_OPTIMIZER=off`` disables it regardless, so the
-        paper-figure runners stay on the un-rewritten reference path.
+        plans.  The paper-figure runners pass ``False`` to stay on the
+        un-rewritten reference path.
     """
 
     def __init__(
@@ -323,16 +323,14 @@ class Database:
         return Planner(self.catalog, settings)
 
     def _maybe_optimize(self, plan) -> "Tuple[object, List[str]]":
-        """Run the logical rewrite layer unless the session or env disables it.
+        """Run the logical rewrite layer unless the session disables it.
 
         The gate check happens *here*, before the rewrite module is entered,
-        so a bypassed session (``optimizer=False`` / ``SGB_OPTIMIZER=off``)
-        provably never calls into :func:`repro.minidb.plan.rewrite.optimize_plan`
-        — the figure-pin tests spy on exactly that entry point.
+        so a bypassed session (``optimizer=False``) provably never calls into
+        :func:`repro.minidb.plan.rewrite.optimize_plan` — the figure-pin tests
+        spy on exactly that entry point.
         """
-        from repro.minidb.plan.rewrite import optimizer_enabled
-
-        if not optimizer_enabled(self.settings.optimizer):
+        if not self.settings.optimizer:
             return plan, []
         from repro.minidb.plan.rewrite import optimize_plan
 

@@ -373,12 +373,12 @@ class SGBAggregate(PhysicalOperator):
         if not pushdown_eligible(self.aggregates):
             return False
         if delegated and not all(spec.star for spec in self.aggregates):
-            from repro.engine.calibrate import load_profile
+            from repro.engine import cost
             from repro.minidb.exec.statics import trace_point_stats
 
             stats = trace_point_stats(self.child, self.key_exprs, len(self.key_exprs))
             rows = max(rows, stats.count)
-            profile = load_profile()
+            profile = cost.PROFILE
             value_columns = sum(1 for spec in self.aggregates if not spec.star)
             ship_cost = profile.c_ship * rows * value_columns
             replay_cost = profile.c_point * rows * len(self.aggregates)

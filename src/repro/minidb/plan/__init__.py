@@ -6,11 +6,7 @@ from repro.minidb.plan.optimizer import (
     expression_sources,
     split_conjuncts,
 )
-from repro.minidb.plan.rewrite import (
-    ENV_OPTIMIZER,
-    optimize_plan,
-    optimizer_enabled,
-)
+from repro.minidb.plan.rewrite import optimize_plan
 
 __all__ = [
     "Planner",
@@ -18,7 +14,5 @@ __all__ = [
     "split_conjuncts",
     "collect_column_refs",
     "expression_sources",
-    "ENV_OPTIMIZER",
     "optimize_plan",
-    "optimizer_enabled",
 ]

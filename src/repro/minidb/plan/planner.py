@@ -91,7 +91,7 @@ class PlannerSettings:
     (resolved at execution time by :func:`repro.storage.resolve_cache`, so
     ``SGB_CACHE=off`` always wins); ``optimizer`` enables the cost-driven
     logical rewrite layer (:mod:`repro.minidb.plan.rewrite` — checked by
-    ``Database`` after planning, with ``SGB_OPTIMIZER=off`` always winning).
+    ``Database`` after planning).
     """
 
     sgb_strategy: str = "index"

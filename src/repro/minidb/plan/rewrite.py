@@ -32,14 +32,13 @@ clear margin, so plans never churn on estimation noise.
 
 Every applied (or deliberately skipped) rewrite is recorded as one trace
 string; ``EXPLAIN`` prints the trace and ``result.rewrites`` carries it to
-callers, including over HTTP.  ``SGB_OPTIMIZER=off`` (or
-``Database(optimizer=False)``) bypasses this module entirely — the
-paper-figure runners pin the un-rewritten reference path.
+callers, including over HTTP.  ``Database(optimizer=False)`` bypasses this
+module entirely — the paper-figure runners pin the un-rewritten reference
+path.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.exceptions import PlanningError
@@ -84,11 +83,7 @@ from repro.minidb.plan.optimizer import (
     split_conjuncts,
 )
 
-__all__ = ["ENV_OPTIMIZER", "optimizer_enabled", "optimize_plan"]
-
-#: Environment kill switch; any of ``off``/``0``/``false``/``no`` disables
-#: the rewrite layer regardless of the session's ``optimizer=`` setting.
-ENV_OPTIMIZER = "SGB_OPTIMIZER"
+__all__ = ["optimize_plan"]
 
 #: A reordering must beat the original order's estimated intermediate
 #: volume by this factor before it is applied (the rid tag/sort machinery
@@ -100,18 +95,6 @@ _DEFAULT_JOIN_SELECTIVITY = 0.25
 
 #: Cardinality assumed for a leaf without any estimate.
 _DEFAULT_LEAF_ROWS = 1000
-
-
-def optimizer_enabled(setting: bool = True) -> bool:
-    """True when the rewrite layer should run.
-
-    ``SGB_OPTIMIZER=off`` always wins (mirrors ``SGB_CACHE``); otherwise the
-    session's ``Database(optimizer=)`` setting decides.
-    """
-    env = os.environ.get(ENV_OPTIMIZER, "").strip().lower()
-    if env in ("off", "0", "false", "no"):
-        return False
-    return bool(setting)
 
 
 def optimize_plan(

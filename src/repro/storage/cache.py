@@ -34,7 +34,7 @@ import os
 import pickle
 import struct
 import threading
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.fingerprint import fingerprint_bytes
 from repro.storage.store import AbstractStore, LocalFileStore, MemStore, TieredStore
@@ -326,6 +326,21 @@ def _disk_bytes() -> int:
 _DEFAULT_CACHE: Optional[ResultCache] = None
 _DEFAULT_KIND: Optional[str] = None
 
+#: One tiered cache per spill directory, so every statement and request that
+#: names a directory shares its memory tier and counters.
+_DIRECTORY_CACHES: Dict[str, ResultCache] = {}
+_DIRECTORY_LOCK = threading.Lock()
+
+
+def _directory_cache(directory: str) -> ResultCache:
+    """The process's one tiered mem → local-file cache rooted at ``directory``."""
+    key = os.path.abspath(directory)
+    with _DIRECTORY_LOCK:
+        cache = _DIRECTORY_CACHES.get(key)
+        if cache is None:
+            cache = _DIRECTORY_CACHES[key] = ResultCache.tiered(key)
+        return cache
+
 
 def default_cache() -> ResultCache:
     """The process-wide cache used by ``cache=True`` / ``SGB_CACHE=on``.
@@ -338,18 +353,18 @@ def default_cache() -> ResultCache:
     env = os.environ.get(_ENV_CACHE, "").strip()
     kind = env if env and env.lower() not in _ON_VALUES | _OFF_VALUES else "mem"
     if _DEFAULT_CACHE is None or kind != _DEFAULT_KIND:
-        _DEFAULT_CACHE = (
-            ResultCache.memory() if kind == "mem" else ResultCache.tiered(kind)
-        )
+        _DEFAULT_CACHE = ResultCache.memory() if kind == "mem" else _directory_cache(kind)
         _DEFAULT_KIND = kind
     return _DEFAULT_CACHE
 
 
 def reset_default_cache() -> None:
-    """Forget the process-wide cache (tests isolate their tmp dirs)."""
+    """Forget the process-wide caches (tests isolate their tmp dirs)."""
     global _DEFAULT_CACHE, _DEFAULT_KIND
     _DEFAULT_CACHE = None
     _DEFAULT_KIND = None
+    with _DIRECTORY_LOCK:
+        _DIRECTORY_CACHES.clear()
 
 
 def resolve_cache(cache: object = None) -> Optional[ResultCache]:
@@ -371,7 +386,7 @@ def resolve_cache(cache: object = None) -> Optional[ResultCache]:
     if cache is False:
         return None
     if isinstance(cache, str):
-        return ResultCache.tiered(cache)
+        return _directory_cache(cache)
     if cache is not None:
         raise TypeError(f"unsupported cache argument {cache!r}")
     if not env:

@@ -57,7 +57,11 @@ __all__ = ["StreamingSGB", "WindowResult", "stream_groups"]
 
 #: Checkpoint payload tag; bump when the session's pickled layout changes so
 #: stale checkpoint files read as "start fresh" instead of mis-restoring.
-_CHECKPOINT_FORMAT = "streaming-sgb/1"
+_CHECKPOINT_FORMAT = "streaming-sgb/2"
+
+#: The layout before sessions kept their resolved flush worker count; still
+#: readable (see :meth:`StreamingSGB.resume`).
+_CHECKPOINT_FORMAT_1 = "streaming-sgb/1"
 
 
 @dataclass
@@ -207,8 +211,10 @@ class StreamingSGB:
         A delegated mode choice (``workers="auto"`` / no knob) asks the cost
         planner (:func:`repro.engine.cost.plan_stream_flush`) to price the
         incremental forest read against a sharded per-flush regroup of the
-        window; the chosen plan is kept on ``self.plan``.  A forced worker
-        count goes through :func:`repro.engine.cost.forced_plan`: a count
+        window; the chosen plan is kept on ``self.plan`` and every sharded
+        flush plans again.  A forced worker count goes through
+        :func:`repro.engine.cost.forced_plan` once, and every flush reuses the
+        count it resolved (so a clamped count warns once per session): a count
         window caps the live point count at ``policy.size``, so when that can
         never reach the parallel floor every flush would pay pool overhead
         for a payload the planner degrades to serial anyway — the session
@@ -219,11 +225,14 @@ class StreamingSGB:
         """
         counted = self.policy.kind == "count"
         self.plan = None
+        self._flush_workers = workers
         if planner_delegated(workers):
             self.plan = plan_stream_flush(self.policy.size if counted else 0, self.eps)
             return self.plan.parallel
         bound = self.policy.size if counted else sys.maxsize
-        return forced_plan("stream_flush", bound, workers).parallel
+        forced = forced_plan("stream_flush", bound, workers)
+        self._flush_workers = forced.workers
+        return forced.parallel
 
     @staticmethod
     def _resolve_policy(
@@ -308,10 +317,18 @@ class StreamingSGB:
         from repro.storage.checkpoint import load_checkpoint
 
         payload = load_checkpoint(path)
-        if not isinstance(payload, dict) or payload.get("format") != _CHECKPOINT_FORMAT:
+        if not isinstance(payload, dict):
             return None
-        session = payload.get("session")
-        return session if isinstance(session, StreamingSGB) else None
+        fmt, session = payload.get("format"), payload.get("session")
+        if fmt not in (_CHECKPOINT_FORMAT, _CHECKPOINT_FORMAT_1):
+            return None
+        if not isinstance(session, StreamingSGB):
+            return None
+        if fmt == _CHECKPOINT_FORMAT_1:
+            # Format 1 kept no resolved count: resolve the raw setting per
+            # flush, as that session did.  Flush results are the same.
+            session._flush_workers = session.workers
+        return session
 
     def close(self) -> List[WindowResult]:
         """Flush the final partial epoch (if any) and end the session."""
@@ -636,7 +653,7 @@ class StreamingSGB:
             PointSet.adopt_validated(points, backend=self._backend),
             eps=self.eps,
             metric=self.metric,
-            workers=self.workers,
+            workers=self._flush_workers,
         )
 
     def _window_extent(

@@ -153,8 +153,7 @@ class TestFigureRunners:
         assert len(pair_counts) == 1 and pair_counts.pop() == 600 // 2 * 2
         assert all(r["cpu_count"] >= 1 for r in rows)
 
-    def test_planner_adaptive_compares_three_arms_per_workload(self, monkeypatch):
-        monkeypatch.setenv("SGB_COST_PROFILE", "off")
+    def test_planner_adaptive_compares_three_arms_per_workload(self):
         rows = planner_adaptive(sizes=(400,), workers=2)
         by_workload = {}
         for r in rows:

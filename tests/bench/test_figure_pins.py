@@ -101,8 +101,7 @@ class TestPlannerBypass:
             monkeypatch.setattr(cost_mod, name, spy)
         return calls
 
-    def test_figure_runners_bypass_planner(self, planner_spy, monkeypatch):
-        monkeypatch.setenv("SGB_COST_PROFILE", "off")
+    def test_figure_runners_bypass_planner(self, planner_spy):
         E.fig9_sgb_any_epsilon(n=120, eps_values=(0.3,), strategies=("index",))
         E.fig9_sgb_all_epsilon(n=120, eps_values=(0.3,), strategies=("index",))
         E.fig10_sgb_any_scale(sizes=(120,), strategies=("index",))

@@ -61,3 +61,37 @@ class TestConvexHullTest:
             probe = (cx + rng.uniform(-eps, eps), cy + rng.uniform(-eps, eps))
             exact = all(math.dist(probe, m) <= eps for m in members)
             assert convex_hull_test(probe, hull, predicate) == exact
+
+
+def _collinear_clusters(seed, eps=1.0, per_cluster=4):
+    """Three clusters on one line, collinear in the reals (built from cos/sin).
+
+    Float rounding makes the hull of a cluster a sliver, which an
+    inside-the-hull shortcut takes to contain points beyond its ends.
+    """
+    import random
+
+    rng = random.Random(seed)
+    theta = rng.uniform(0.0, 2.0 * math.pi)
+    ox, oy = rng.uniform(-50.0, 50.0), rng.uniform(-50.0, 50.0)
+    dx, dy = math.cos(theta), math.sin(theta)
+    points = []
+    for centre in (0.0, 0.8 * eps, 1.6 * eps):
+        for _ in range(per_cluster):
+            t = centre + rng.uniform(-0.3, 0.3) * eps
+            points.append((ox + t * dx, oy + t * dy))
+    rng.shuffle(points)
+    return points
+
+
+@pytest.mark.parametrize("strategy", ["all-pairs", "bounds-checking", "index"])
+def test_scalar_sgb_all_groups_are_cliques_on_collinear_clusters(strategy):
+    from repro import sgb_all
+
+    eps = 1.0
+    for seed in range(100):
+        points = _collinear_clusters(seed, eps)
+        result = sgb_all(points, eps, strategy=strategy, batch=False)
+        for group in result.groups:
+            diameter = max(math.dist(points[i], points[j]) for i in group for j in group)
+            assert diameter <= eps, (seed, group, diameter)

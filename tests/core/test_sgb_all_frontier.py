@@ -4,10 +4,9 @@ The frontier path pre-computes the whole batch's eps-adjacency in one sweep
 and verifies each point against entire candidate groups at once.  It only
 engages where the per-point candidate decision is a pure adjacency function
 (ALL_PAIRS always; LINF any dims; L2 in 2-d where the hull test is exact) —
-everywhere else ``add_batch`` silently keeps the legacy per-point loop.
-Either way the results must be bit-identical to ``frontier=False`` and to
-the scalar ``batch=False`` path: same groups, same eliminated set, same
-point order.
+everywhere else ``add_batch`` silently keeps the per-point loop.  Either
+way the results must be bit-identical to the scalar ``batch=False`` path:
+same groups, same eliminated set, same point order.
 """
 
 from __future__ import annotations
@@ -36,13 +35,11 @@ def _clustered(seed: int, n: int = 120, dims: int = 2):
 
 
 def _assert_parity(points, **kwargs):
-    frontier = sgb_all(points, batch=True, frontier=True, **kwargs)
-    legacy = sgb_all(points, batch=True, frontier=False, **kwargs)
+    frontier = sgb_all(points, batch=True, **kwargs)
     scalar = sgb_all(points, batch=False, **kwargs)
-    for reference in (legacy, scalar):
-        assert frontier.groups == reference.groups
-        assert frontier.eliminated == reference.eliminated
-        assert frontier.points == reference.points
+    assert frontier.groups == scalar.groups
+    assert frontier.eliminated == scalar.eliminated
+    assert frontier.points == scalar.points
 
 
 class TestFrontierParity:
@@ -79,9 +76,7 @@ class TestFrontierParity:
         from repro.core.pointset import PointSet
 
         points = PointSet.from_any(_clustered(53), backend=backend)
-        frontier = sgb_all(
-            points, eps=0.5, on_overlap="ELIMINATE", batch=True, frontier=True
-        )
+        frontier = sgb_all(points, eps=0.5, on_overlap="ELIMINATE", batch=True)
         scalar = sgb_all(points, eps=0.5, on_overlap="ELIMINATE", batch=False)
         assert frontier.groups == scalar.groups
         assert frontier.eliminated == scalar.eliminated
@@ -103,7 +98,7 @@ class TestFrontierParity:
 
         grouper = SGBAllGrouper(eps=0.5, on_overlap="ELIMINATE")
         for start in range(0, len(points), 30):
-            grouper.add_batch(points[start:start + 30], frontier=True)
+            grouper.add_batch(points[start:start + 30])
         result = grouper.finalize()
         assert result.groups == reference.groups
         assert result.eliminated == reference.eliminated
@@ -112,5 +107,5 @@ class TestFrontierParity:
         from repro.core.sgb_all import SGBAllGrouper
 
         grouper = SGBAllGrouper(eps=0.5)
-        grouper.add_batch([], frontier=True)
+        grouper.add_batch([])
         assert grouper.finalize().groups == []

@@ -4,8 +4,8 @@ Pins the cost planner's mode choice for the canonical scenarios: tiny
 batches stay serial, large uniform batches shard one slab per worker,
 skewed batches over-decompose (fan-out > workers), SGB-All never shards,
 and join→SGB pipelines report a positive fusion gain.  All scenarios pin
-``cpu_count`` and the uncalibrated default profile so they are
-machine-independent.
+``cpu_count`` so they are machine-independent (the unit costs are a
+constant).
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import pytest
 
 from repro.core.api import sgb_any
 from repro.core.pointset import PointSet
-from repro.engine.calibrate import DEFAULT_PROFILE
 from repro.engine.cost import (
     ENV_WORKERS,
     forced_plan,
@@ -33,8 +32,6 @@ from repro.engine.cost import (
 from repro.engine.stats import collect_stats, synthetic_stats
 from repro.join import eps_join
 from repro.minidb import Database
-
-PROFILE = DEFAULT_PROFILE
 
 
 def _skewed_stats(count=60_000, hot_fraction=0.7, seed=42):
@@ -79,23 +76,19 @@ class TestDelegation:
 
 class TestSGBAnyDecisions:
     def test_tiny_batch_stays_scalar(self):
-        plan = plan_sgb_any(synthetic_stats(10), 0.1, cpu_count=8, profile=PROFILE)
+        plan = plan_sgb_any(synthetic_stats(10), 0.1, cpu_count=8)
         assert plan.mode == "scalar" and not plan.parallel
 
     def test_small_batch_stays_serial_batch(self):
-        plan = plan_sgb_any(synthetic_stats(500), 0.1, cpu_count=8, profile=PROFILE)
+        plan = plan_sgb_any(synthetic_stats(500), 0.1, cpu_count=8)
         assert plan.mode == "batch" and not plan.parallel
 
     def test_single_core_never_shards(self):
-        plan = plan_sgb_any(
-            synthetic_stats(500_000), 0.004, cpu_count=1, profile=PROFILE
-        )
+        plan = plan_sgb_any(synthetic_stats(500_000), 0.004, cpu_count=1)
         assert plan.mode == "batch" and not plan.parallel
 
     def test_large_uniform_shards_one_slab_per_worker(self):
-        plan = plan_sgb_any(
-            synthetic_stats(500_000), 0.004, cpu_count=8, profile=PROFILE
-        )
+        plan = plan_sgb_any(synthetic_stats(500_000), 0.004, cpu_count=8)
         assert plan.mode == "sharded"
         assert plan.workers == 8
         assert plan.shards == 8
@@ -103,19 +96,17 @@ class TestSGBAnyDecisions:
     def test_skewed_batch_over_decomposes(self):
         stats = _skewed_stats()
         assert stats.axis_imbalance(0) > 1.5
-        plan = plan_sgb_any(stats, 0.02, cpu_count=8, profile=PROFILE)
+        plan = plan_sgb_any(stats, 0.02, cpu_count=8)
         assert plan.mode == "sharded"
         assert plan.shards > plan.workers
 
     def test_details_table_names_every_candidate(self):
-        plan = plan_sgb_any(
-            synthetic_stats(500_000), 0.004, cpu_count=8, profile=PROFILE
-        )
+        plan = plan_sgb_any(synthetic_stats(500_000), 0.004, cpu_count=8)
         assert "batch" in plan.details
         assert any(key.startswith("sharded@") for key in plan.details)
 
     def test_describe_mentions_mode_and_cost(self):
-        plan = plan_sgb_any(synthetic_stats(100), 0.1, cpu_count=8, profile=PROFILE)
+        plan = plan_sgb_any(synthetic_stats(100), 0.1, cpu_count=8)
         text = plan.describe()
         assert "sgb_any" in text and "mode=" in text and "est_cost=" in text
 
@@ -123,25 +114,18 @@ class TestSGBAnyDecisions:
 class TestSGBAllDecisions:
     def test_never_sharded(self):
         for count in (10, 1000, 500_000):
-            plan = plan_sgb_all(
-                synthetic_stats(count), 0.004, cpu_count=16, profile=PROFILE
-            )
+            plan = plan_sgb_all(synthetic_stats(count), 0.004, cpu_count=16)
             assert plan.workers == 1 and plan.shards == 1
             assert plan.mode in ("scalar", "frontier")
 
     def test_tiny_scalar_large_frontier(self):
-        assert plan_sgb_all(synthetic_stats(8), 0.1, profile=PROFILE).mode == "scalar"
-        assert (
-            plan_sgb_all(synthetic_stats(10_000), 0.1, profile=PROFILE).mode
-            == "frontier"
-        )
+        assert plan_sgb_all(synthetic_stats(8), 0.1).mode == "scalar"
+        assert plan_sgb_all(synthetic_stats(10_000), 0.1).mode == "frontier"
 
 
 class TestJoinDecisions:
     def test_tiny_join_prefers_allpairs(self):
-        plan = plan_eps_join(
-            synthetic_stats(20), synthetic_stats(20), 0.5, cpu_count=8, profile=PROFILE
-        )
+        plan = plan_eps_join(synthetic_stats(20), synthetic_stats(20), 0.5, cpu_count=8)
         assert plan.mode == "allpairs"
 
     def test_selective_join_prefers_grid(self):
@@ -150,7 +134,6 @@ class TestJoinDecisions:
             synthetic_stats(5000),
             0.001,
             cpu_count=1,
-            profile=PROFILE,
         )
         assert plan.mode == "grid"
 
@@ -160,13 +143,12 @@ class TestJoinDecisions:
             synthetic_stats(400_000),
             0.01,
             cpu_count=8,
-            profile=PROFILE,
         )
         assert plan.mode == "sharded" and plan.workers == 8
 
     def test_knn_small_serial_large_sharded(self):
         small = plan_knn_join(
-            synthetic_stats(100), synthetic_stats(100), 4, cpu_count=8, profile=PROFILE
+            synthetic_stats(100), synthetic_stats(100), 4, cpu_count=8
         )
         assert small.mode == "serial"
         large = plan_knn_join(
@@ -174,7 +156,6 @@ class TestJoinDecisions:
             synthetic_stats(2_000_000),
             4,
             cpu_count=8,
-            profile=PROFILE,
         )
         assert large.mode == "sharded"
 
@@ -188,8 +169,8 @@ class TestJoinDecisions:
                 [(rng.random() + 50.0, rng.random()) for _ in range(500)]
             )
         )
-        overlapping = plan_eps_join(near, near, 0.05, cpu_count=1, profile=PROFILE)
-        disjoint = plan_eps_join(near, far, 0.05, cpu_count=1, profile=PROFILE)
+        overlapping = plan_eps_join(near, near, 0.05, cpu_count=1)
+        disjoint = plan_eps_join(near, far, 0.05, cpu_count=1)
         assert overlapping.est_rows > disjoint.est_rows == 0
 
     def test_fused_gain_positive_iff_join_produces_pairs(self):
@@ -200,17 +181,17 @@ class TestJoinDecisions:
         far = collect_stats(
             PointSet.from_any([(rng.random() + 90.0, 0.0) for _ in range(500)])
         )
-        assert fused_join_group_gain(stats, stats, 0.1, profile=PROFILE) > 0.0
-        assert fused_join_group_gain(stats, far, 0.1, profile=PROFILE) == 0.0
+        assert fused_join_group_gain(stats, stats, 0.1) > 0.0
+        assert fused_join_group_gain(stats, far, 0.1) == 0.0
 
 
 class TestStreamDecisions:
     def test_small_window_stays_incremental(self):
-        plan = plan_stream_flush(256, 0.05, cpu_count=8, profile=PROFILE)
+        plan = plan_stream_flush(256, 0.05, cpu_count=8)
         assert plan.mode == "incremental"
 
     def test_single_core_stays_incremental(self):
-        plan = plan_stream_flush(1_000_000, 0.001, cpu_count=1, profile=PROFILE)
+        plan = plan_stream_flush(1_000_000, 0.001, cpu_count=1)
         assert plan.mode == "incremental"
 
 

@@ -24,14 +24,8 @@ BACKENDS = ["numpy", "python"] if HAVE_NUMPY else ["python"]
 
 @pytest.fixture(autouse=True)
 def _delegated_environment(monkeypatch):
-    """Leave the mode choice to the planner, with a hermetic cost profile."""
+    """Leave the mode choice to the planner."""
     monkeypatch.delenv(ENV_WORKERS, raising=False)
-    monkeypatch.setenv("SGB_COST_PROFILE", "off")
-    from repro.engine.calibrate import reset_profile_cache
-
-    reset_profile_cache()
-    yield
-    reset_profile_cache()
 
 
 def _workload(kind: str, n: int, seed: int):
@@ -75,7 +69,7 @@ class TestSGBAnyEquivalence:
         # really runs even on small inputs and one-core machines.
         import repro.engine.cost as cost_mod
 
-        def always_sharded(stats, eps, cpu_count=None, profile=None):
+        def always_sharded(stats, eps, cpu_count=None):
             return PhysicalPlan(
                 op="sgb_any", mode="sharded", workers=2, shards=4, reason="forced"
             )
@@ -106,7 +100,7 @@ class TestSGBAllEquivalence:
         baseline = sgb_all(pts, eps=0.2, on_overlap="eliminate")
 
         for mode in ("scalar", "frontier"):
-            def force(stats, eps, cpu_count=None, profile=None, _mode=mode):
+            def force(stats, eps, cpu_count=None, _mode=mode):
                 return PhysicalPlan(op="sgb_all", mode=_mode, reason="forced")
 
             monkeypatch.setattr(cost_mod, "plan_sgb_all", force)
@@ -136,7 +130,7 @@ class TestJoinEquivalence:
     def test_forced_sharded_join_matches_serial(self, monkeypatch):
         import repro.engine.cost as cost_mod
 
-        def always_sharded(left, right, eps, cpu_count=None, profile=None):
+        def always_sharded(left, right, eps, cpu_count=None):
             return PhysicalPlan(
                 op="eps_join", mode="sharded", workers=2, shards=4, reason="forced"
             )
@@ -172,7 +166,7 @@ class TestSQLEquivalence:
         # Force the executor's delegated plan to sharded; rows must not change.
         import repro.minidb.exec.sgb as sgb_mod
 
-        def always_sharded(stats, eps, cpu_count=None, profile=None):
+        def always_sharded(stats, eps, cpu_count=None):
             return PhysicalPlan(
                 op="sgb_any", mode="sharded", workers=2, shards=4, reason="forced"
             )

@@ -19,12 +19,6 @@ from repro.minidb.database import Database
 @pytest.fixture(autouse=True)
 def _delegated_environment(monkeypatch):
     monkeypatch.delenv(ENV_WORKERS, raising=False)
-    monkeypatch.setenv("SGB_COST_PROFILE", "off")
-    from repro.engine.calibrate import reset_profile_cache
-
-    reset_profile_cache()
-    yield
-    reset_profile_cache()
 
 
 @pytest.fixture()

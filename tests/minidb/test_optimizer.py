@@ -1,7 +1,7 @@
 """The cost-driven rewrite layer: rule behaviour + randomized bit-identity.
 
 The unit tests pin each rule's observable contract — where a conjunct lands,
-what the trace says, when the escape hatches win.  The randomized suite is
+what the trace says, when the ``optimizer=False`` switch wins.  The randomized suite is
 the real safety net: for every query family the optimizer touches
 (multi-join chains, filtered derived similarity joins, SGB subqueries) the
 optimized plan must return *bit-identical* rows to ``optimizer=False`` on
@@ -17,7 +17,6 @@ import pytest
 import repro.core.pointset as pointset
 from repro.core.pointset import HAVE_NUMPY
 from repro.minidb.database import Database
-from repro.minidb.plan.rewrite import ENV_OPTIMIZER, optimize_plan, optimizer_enabled
 
 BACKENDS = ["python"] + (["numpy"] if HAVE_NUMPY else [])
 
@@ -59,36 +58,10 @@ CHAIN = "SELECT t1.v, t3.w FROM t1, t2, t3 WHERE t1.k = t2.k AND t2.j = t3.j"
 
 
 class TestEscapeHatches:
-    def test_env_off_values(self, monkeypatch):
-        for value in ("off", "0", "false", "no"):
-            monkeypatch.setenv(ENV_OPTIMIZER, value)
-            assert not optimizer_enabled(True)
-        monkeypatch.setenv(ENV_OPTIMIZER, "on")
-        assert optimizer_enabled(True)
-        monkeypatch.delenv(ENV_OPTIMIZER)
-        assert optimizer_enabled(True)
-        assert not optimizer_enabled(False)
-
-    def test_env_off_disables_rewrites(self, monkeypatch):
-        db = Database()
-        _chain_tables(db)
-        monkeypatch.setenv(ENV_OPTIMIZER, "off")
-        result = db.execute(CHAIN)
-        assert result.rewrites == []
-        monkeypatch.delenv(ENV_OPTIMIZER)
-        assert db.execute(CHAIN).rewrites
-
     def test_constructor_off_disables_rewrites(self):
         db = Database(optimizer=False)
         _chain_tables(db)
         assert db.execute(CHAIN).rewrites == []
-
-    def test_env_off_wins_over_constructor_on(self, monkeypatch):
-        db = Database(optimizer=True)
-        _chain_tables(db)
-        monkeypatch.setenv(ENV_OPTIMIZER, "off")
-        assert db.execute(CHAIN).rewrites == []
-
 
 # ---------------------------------------------------------------------------
 # filter placement

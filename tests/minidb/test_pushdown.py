@@ -272,8 +272,7 @@ class TestCacheCoherence:
         # pushes down; the float avg passes the gate but not the int check
         # and replays from the same value columns.
         import repro.minidb.exec.sgb as sgb_module
-        from repro.engine.calibrate import CostProfile
-        from repro.engine.cost import PhysicalPlan
+        from repro.engine.cost import CostProfile, PhysicalPlan
         from repro.minidb.exec.aggregate import _AggregateEvaluator
 
         reference = _make_db(values="float").execute(query.format(workers=""))
@@ -281,15 +280,13 @@ class TestCacheCoherence:
         monkeypatch.setattr(
             sgb_module,
             "plan_sgb_any",
-            lambda stats, eps, cpu_count=None, profile=None: PhysicalPlan(
+            lambda stats, eps, cpu_count=None: PhysicalPlan(
                 op="sgb_any", mode="sharded", workers=2, shards=2, reason="forced"
             ),
         )
         monkeypatch.setattr(
-            "repro.engine.calibrate.load_profile",
-            lambda: CostProfile(
-                c_point=1.0, c_pair=1.0, c_task=0.0, c_ship=0.0
-            ),
+            "repro.engine.cost.PROFILE",
+            CostProfile(c_point=1.0, c_pair=1.0, c_task=0.0, c_ship=0.0),
         )
         stats = self._spy(monkeypatch, sgb_module, "collect_stats")
         plans = self._spy(monkeypatch, sgb_module, "plan_sgb_any")

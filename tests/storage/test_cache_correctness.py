@@ -247,6 +247,38 @@ class TestConfiguration:
         resolved.put("k", ("v",))
         assert LocalFileStore(str(tmp_path)).keys()  # spilled to the directory
 
+    def test_directory_argument_is_one_cache_per_directory(self, tmp_path, monkeypatch):
+        cache = resolve_cache(str(tmp_path))
+        assert resolve_cache(str(tmp_path)) is cache
+        assert resolve_cache(os.path.join(str(tmp_path), ".")) is cache
+        monkeypatch.setenv("SGB_CACHE", "off")
+        assert resolve_cache(str(tmp_path)) is None
+
+    def test_directory_cache_shared_across_sql_statements(self, tmp_path):
+        from repro.minidb import Database
+
+        db = Database(cache=str(tmp_path))
+        db.execute("CREATE TABLE pts (x FLOAT, y FLOAT)")
+        db.execute("INSERT INTO pts VALUES (0.0, 0.0), (0.5, 0.5), (5.0, 5.0)")
+        sql = "SELECT count(*) FROM pts GROUP BY x, y DISTANCE-TO-ANY L2 WITHIN 1"
+        first = db.execute(sql)
+        cache = resolve_cache(str(tmp_path))
+        assert (cache.hits, cache.puts) == (0, 1)
+        assert db.execute(sql).rows == first.rows
+        assert (cache.hits, cache.puts) == (1, 1)
+
+    def test_server_result_cache_is_stable(self, tmp_path):
+        import asyncio
+
+        from repro.server.app import create_app
+
+        app = create_app(cache=str(tmp_path), port=0)
+        try:
+            assert app.result_cache is not None
+            assert app.result_cache is app.result_cache
+        finally:
+            asyncio.run(app.stop())
+
     def test_bogus_argument_raises(self):
         with pytest.raises(TypeError):
             resolve_cache(3.14)

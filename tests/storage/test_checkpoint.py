@@ -87,6 +87,27 @@ class TestStreamingResume:
         straight, resumed = self.run_split(tmp_path, seed=5, split=73)
         assert [flush_key(w) for w in resumed] == [flush_key(w) for w in straight]
 
+    def test_format_1_checkpoint_still_resumes(self, tmp_path):
+        # A format-1 session has the same layout minus the resolved flush
+        # worker count; it resumes and resolves its raw setting per flush.
+        rng = random.Random(43)
+        points = random_points(rng, 400)
+        path = str(tmp_path / "stream.ck")
+
+        continuous = StreamingSGB(eps=0.8, window=128, slide=64, workers=2)
+        straight = list(continuous.ingest(points)) + continuous.close()
+
+        first = StreamingSGB(eps=0.8, window=128, slide=64, workers=2)
+        flushes = list(first.ingest(points[:230]))
+        del first._flush_workers
+        save_checkpoint({"format": "streaming-sgb/1", "session": first}, path)
+
+        resumed = StreamingSGB.resume(path)
+        assert resumed is not None and resumed._flush_workers == 2
+        flushes += resumed.ingest(points[230:])
+        flushes += resumed.close()
+        assert [flush_key(w) for w in flushes] == [flush_key(w) for w in straight]
+
     def test_damaged_checkpoint_resumes_as_none(self, tmp_path):
         path = str(tmp_path / "stream.ck")
         session = StreamingSGB(eps=0.8, window=10)

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import random
+import warnings
+
 import pytest
 
 from repro.core.api import sgb_any
@@ -230,3 +233,19 @@ class TestParallelFloor:
 
     def test_serial_sessions_unaffected(self):
         assert StreamingSGB(eps=1.0, window=256, slide=128, workers=1)._sharded is False
+
+    def test_forced_count_resolves_once_per_session(self, monkeypatch):
+        # A clamped count warns when the session resolves it, not per flush.
+        monkeypatch.setattr("repro.engine.cost.os.cpu_count", lambda: 2)
+        rng = random.Random(3)
+        points = [(rng.random() * 10.0, rng.random() * 10.0) for _ in range(640)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            session = StreamingSGB(eps=0.3, window=128, slide=64, workers=16)
+            flushes = ingest_all(session, points, chunk=64)
+        clamps = [w for w in caught if "clamping the pool" in str(w.message)]
+        assert session._sharded and len(flushes) == 10
+        assert [w.category for w in clamps] == [RuntimeWarning]
+        for window in flushes:
+            live = [points[i] for i in window.indices]
+            assert window.result.groups == sgb_any(live, 0.3, workers=1).groups
