@@ -11,16 +11,56 @@ equivalence contract is asserted on every benchmarked query, not sampled.
 
 from __future__ import annotations
 
+import random
 import time
+from typing import Dict
 
 import pytest
 
-from repro.bench.experiments import _optimizer_queries, _optimizer_tables
 from repro.minidb import Database
 
 EPS = 3.0
 MIN_SPEEDUP = 2.0
 SEED = 47
+
+
+def _optimizer_tables(db: Database, n: int, seed: int) -> None:
+    rng = random.Random(seed)
+    db.execute("CREATE TABLE pa (x FLOAT, y FLOAT)")
+    db.execute("CREATE TABLE pb (x FLOAT, y FLOAT)")
+    db.insert_rows(
+        "pa", [(rng.uniform(0.0, 100.0), rng.uniform(0.0, 100.0)) for _ in range(n)]
+    )
+    db.insert_rows(
+        "pb", [(rng.uniform(0.0, 100.0), rng.uniform(0.0, 100.0)) for _ in range(n)]
+    )
+    db.execute("CREATE TABLE r1 (k INT, v FLOAT)")
+    db.execute("CREATE TABLE r2 (k INT, j INT)")
+    db.execute("CREATE TABLE r3 (j INT, w FLOAT)")
+    m = max(200, n // 2)
+    db.insert_rows("r1", [(i % 10, float(i)) for i in range(m)])
+    db.insert_rows("r2", [(i % 10, i) for i in range(m)])
+    db.insert_rows("r3", [(j, float(j) * 0.5) for j in range(20)])
+
+
+def _optimizer_queries(eps: float) -> Dict[str, str]:
+    # Workload 1: a selective predicate over a derived similarity join —
+    # the push-down rule sinks it through the derived table into the
+    # eps-join's left input, shrinking the pair enumeration itself.
+    filtered_sim = (
+        "SELECT d.ax, d.ay, d.bx FROM "
+        "(SELECT a.x AS ax, a.y AS ay, b.x AS bx FROM pa AS a "
+        f"SIMILARITY JOIN pb AS b ON DISTANCE(a.x, a.y, b.x, b.y) WITHIN {eps}) AS d "
+        "WHERE d.ax < 5.0"
+    )
+    # Workload 2: a 3-relation chain written worst-first — r1 >< r2 explodes
+    # (both keys take 10 values), while r2 >< r3 is tiny.  The reorder rule
+    # moves r3 forward using histogram-overlap selectivities.
+    join_chain = (
+        "SELECT r1.v, r3.w FROM r1, r2, r3 "
+        "WHERE r1.k = r2.k AND r2.j = r3.j"
+    )
+    return {"filtered-sim-join": filtered_sim, "join-reorder": join_chain}
 
 
 def _timed(fn, repeats: int = 3):

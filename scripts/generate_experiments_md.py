@@ -192,337 +192,6 @@ def main(path: str) -> None:
     add("differently in a pure-Python engine.")
     add("")
 
-    # ---------------- batch vs scalar ----------------
-    if "batch_vs_scalar" in data:
-        add("## Batch vs scalar execution path (beyond the paper)")
-        add("")
-        add("The batched columnar pipeline (`add_batch` over a `PointSet`) against")
-        add("the scalar per-tuple reference path of the same operator; identical")
-        add("groupings, execution strategy `index`.")
-        add("")
-        rows = data["batch_vs_scalar"]
-        add("```")
-        add(format_table(
-            [
-                {
-                    "operator": r["operator"],
-                    "path": r["path"],
-                    "n": r["n"],
-                    "backend": r["backend"],
-                    "seconds": round(r["seconds"], 3),
-                    "speedup vs scalar": r["speedup"],
-                }
-                for r in rows
-            ]
-        ))
-        add("```")
-        add("")
-
-    # ---------------- parallel vs serial ----------------
-    if "parallel_vs_serial" in data:
-        add("## Sharded parallel execution vs the serial batch path (beyond the paper)")
-        add("")
-        add("SGB-Any over grid-partitioned shards in worker processes (`workers=N` /")
-        add("SQL `WORKERS N`): the input is striped into eps-aligned slabs along its")
-        add("widest axis, each shard is grouped independently, and the per-shard")
-        add("Union-Find forests are merged over the halo-band edges.  Group")
-        add("assignments are identical to the serial baseline by construction (see")
-        add("README, \"Parallel execution\"); only the wall-clock changes.  Speedups")
-        add("depend on the physical core count of the measuring machine, reported")
-        add("in the `cpus` column — with fewer cores than workers the pool degrades")
-        add("gracefully towards serial speed.")
-        add("")
-        rows = data["parallel_vs_serial"]
-        add("```")
-        add(format_table(
-            [
-                {
-                    "path": r["path"],
-                    "n": r["n"],
-                    "cpus": r["cpu_count"],
-                    "backend": r["backend"],
-                    "seconds": round(r["seconds"], 3),
-                    "speedup vs serial": r["speedup"],
-                }
-                for r in rows
-            ]
-        ))
-        add("```")
-        add("")
-
-    # ---------------- adaptive planner ----------------
-    if "planner_adaptive" in data:
-        add("## Cost-based planner: adaptive mode and fan-out selection (beyond the paper)")
-        add("")
-        add("The delegated `workers=\"auto\"` path lets the cost planner pick serial")
-        add("vs sharded execution — and the shard fan-out — from cached per-input")
-        add("statistics (count, bbox, per-axis eps-cell histograms), against the")
-        add("serial batch baseline and the legacy one-slab-per-worker decomposition")
-        add("(the `speedup` baseline).  On skewed inputs the planner over-decomposes")
-        add("(fan-out > workers) so the hot slab splits across the pool; on uniform")
-        add("inputs the arms converge.  All arms return identical groupings")
-        add("(`tests/engine/test_planner_equivalence.py`); the `plan` column is what")
-        add("the planner chose on this machine, and with few cores it degrades to")
-        add("serial mode by design.")
-        add("")
-        rows = data["planner_adaptive"]
-        add("```")
-        add(format_table(
-            [
-                {
-                    "workload": r["workload"],
-                    "path": r["path"],
-                    "n": r["n"],
-                    "cpus": r["cpu_count"],
-                    "seconds": round(r["seconds"], 3),
-                    "speedup vs 1-slab/worker": r["speedup"],
-                }
-                for r in rows
-            ]
-        ))
-        add("```")
-        add("")
-        plans = [r["plan"] for r in rows if r.get("plan")]
-        if plans:
-            add("Planner-chosen plans on this machine:")
-            add("")
-            add("```")
-            for r in rows:
-                if r.get("plan"):
-                    add(f"{r['workload']:>8} n={r['n']:<7} {r['plan']}")
-            add("```")
-            add("")
-
-    # ---------------- streaming windows ----------------
-    if "streaming_window" in data:
-        add("## Streaming windowed grouping: incremental vs re-group per window (beyond the paper)")
-        add("")
-        add("A sliding count window driven through `repro.stream` (`StreamingSGB` /")
-        add("SQL `WINDOW n SLIDE m`): the incremental session discovers every")
-        add("eps-edge once and repairs its Union-Find forest when an epoch of points")
-        add("expires, while the baseline re-runs the batch `sgb_any` over the")
-        add("window's live points at every slide.  Per-window groupings are")
-        add("bit-identical across the two paths (enforced by `tests/stream`); the")
-        add("incremental advantage grows with the window/slide ratio because the")
-        add("baseline re-processes every point `window / slide` times.")
-        add("")
-        rows = data["streaming_window"]
-        add("```")
-        add(format_table(
-            [
-                {
-                    "path": r["path"],
-                    "n": r["n"],
-                    "window": r["window"],
-                    "slide": r["slide"],
-                    "windows": r["flushes"],
-                    "backend": r["backend"],
-                    "seconds": round(r["seconds"], 3),
-                    "speedup vs full": r["speedup"],
-                }
-                for r in rows
-            ]
-        ))
-        add("```")
-        add("")
-
-    # ---------------- similarity joins ----------------
-    if "join_vs_allpairs" in data:
-        add("## Similarity joins: grid eps-join vs all-pairs (beyond the paper)")
-        add("")
-        add("The eps-join of `repro.join` (`sim_join` / SQL `SIMILARITY JOIN ... ON")
-        add("DISTANCE(...) WITHIN eps`) pairs the tuples of two relations through the")
-        add("same eps-grid sweep the SGB batch path uses, against the blocked")
-        add("all-pairs nested loop as the baseline.  Each size is the total point")
-        add("count, split evenly between two clustered relations; both paths return")
-        add("the identical sorted pair list (enforced by `tests/join`), so only the")
-        add("wall-clock differs.  The grid win grows with the input size because the")
-        add("baseline is quadratic while the grid visits only neighbouring cells.")
-        add("")
-        rows = data["join_vs_allpairs"]
-        add("```")
-        add(format_table(
-            [
-                {
-                    "path": r["path"],
-                    "n (total)": r["n"],
-                    "pairs": r["pairs"],
-                    "backend": r["backend"],
-                    "seconds": round(r["seconds"], 3),
-                    "speedup vs all-pairs": r["speedup"],
-                }
-                for r in rows
-            ]
-        ))
-        add("```")
-        add("")
-
-    # ---------------- fused join→group pipeline ----------------
-    if "fused_vs_materialized" in data:
-        add("## Fused join→group pipeline vs materialize-then-group (beyond the paper)")
-        add("")
-        add("The fused pipeline (`fused_join_group` / the SQL executor's automatic")
-        add("join→SGB fusion) groups only the *distinct* matched points of the join")
-        add("and expands the components over the pair positions, instead of")
-        add("materialising one point per matched pair and sweeping the duplicated")
-        add("relation.  Canonical groupings are bit-identical (enforced by")
-        add("`tests/join/test_fused.py`); the advantage scales with the pair/point")
-        add("fan-out, since a point matched m times costs the materialized sweep m²")
-        add("edge work (`benchmarks/test_fused_pipeline.py` measures ~50x at 25x")
-        add("fan-out).")
-        add("")
-        rows = data["fused_vs_materialized"]
-        add("```")
-        add(format_table(
-            [
-                {
-                    "path": r["path"],
-                    "n (total)": r["n"],
-                    "groups": r["groups"],
-                    "backend": r["backend"],
-                    "seconds": round(r["seconds"], 3),
-                    "speedup vs materialized": r["speedup"],
-                }
-                for r in rows
-            ]
-        ))
-        add("```")
-        add("")
-
-    # ---------------- sharded kNN-join ----------------
-    if "knn_parallel" in data:
-        add("## Sharded parallel kNN-join vs the serial probe join (beyond the paper)")
-        add("")
-        add("The kNN-join sharded over worker processes (`knn_join(..., workers=N)`):")
-        add("the left relation is partitioned and every worker ranks its left points")
-        add("against the full right side, so the merged pair list is bit-identical to")
-        add("the serial join with no halo stitching (enforced by")
-        add("`tests/join/test_knn_sharded.py`).  `rebuild` lets each worker bulk-load")
-        add("its own right R-tree; `ship-index` pickles the coordinator's tree into")
-        add("the task payloads.  As with the other parallel stages, the speedup is")
-        add("bounded by the physical core count in the `cpus` column.")
-        add("")
-        rows = data["knn_parallel"]
-        add("```")
-        add(format_table(
-            [
-                {
-                    "path": r["path"],
-                    "n (total)": r["n"],
-                    "k": r["k"],
-                    "cpus": r["cpu_count"],
-                    "backend": r["backend"],
-                    "seconds": round(r["seconds"], 3),
-                    "speedup vs serial": r["speedup"],
-                }
-                for r in rows
-            ]
-        ))
-        add("```")
-        add("")
-
-    # ---------------- result cache ----------------
-    if "cache_warm_vs_cold" in data:
-        add("## Tiered result cache: warm vs cold repeats (beyond the paper)")
-        add("")
-        add("The content-addressed result cache (`cache=` / `SGB_CACHE`): the cold")
-        add("run computes and stores the grouping or pair list, the warm repeat of")
-        add("the identical call is served from the cache under a fingerprint of the")
-        add("input batch and the result-changing parameters.  The `identical` column")
-        add("is asserted in-process — a hit returns bit-identical groups/pairs, so")
-        add("only the wall-clock changes; any mutation of the input bumps the")
-        add("fingerprint and forces a recompute (`tests/storage`,")
-        add("`tests/minidb/test_version_invalidation.py`).")
-        add("")
-        rows = data["cache_warm_vs_cold"]
-        add("```")
-        add(format_table(
-            [
-                {
-                    "operator": r["operator"],
-                    "phase": r["phase"],
-                    "n": r["n"],
-                    "backend": r["backend"],
-                    "seconds": round(r["seconds"], 4),
-                    "speedup vs cold": r.get("speedup") or "",
-                    "identical": r["identical"],
-                }
-                for r in rows
-            ]
-        ))
-        add("```")
-        add("")
-
-    # ---------------- serving overhead ----------------
-    if "serving_overhead" in data:
-        add("## HTTP serving overhead vs the in-process call (beyond the paper)")
-        add("")
-        add("The same SGB-Any batch through `POST /v1/sgb` of `repro.server` — a")
-        add("single sequential client and N concurrent keep-alive clients against")
-        add("the in-process `sgb_any` baseline (result cache pinned off on both")
-        add("sides, `workers=1`).  The `identical` column asserts the service")
-        add("contract: every HTTP response decodes back bit-identical to the")
-        add("in-process payload.  The overhead factor is per-request latency over")
-        add("the bare call — transport + JSON on one client; at 8 clients the")
-        add("request thread pool serialises the CPU-bound groupings, so latency")
-        add("grows while aggregate throughput holds (see README, \"Serving\").")
-        add("")
-        rows = data["serving_overhead"]
-        add("```")
-        add(format_table(
-            [
-                {
-                    "clients": r["clients"],
-                    "requests": r["requests"],
-                    "n": r["n"],
-                    "backend": r["backend"],
-                    "in-process s": round(r["in_process_s"], 4),
-                    "mean request s": r["mean_request_s"],
-                    "throughput rps": r["throughput_rps"],
-                    "overhead vs in-process": r["overhead_factor"],
-                    "identical": r["identical"],
-                }
-                for r in rows
-            ]
-        ))
-        add("```")
-        add("")
-
-    # ---------------- optimizer rewrites ----------------
-    if "optimizer_rewrites" in data:
-        add("## Cost-driven rewrite layer (beyond the paper)")
-        add("")
-        add("The logical optimizer (`repro.minidb.plan.rewrite`) re-places WHERE")
-        add("conjuncts around similarity joins and reorders multi-join chains by")
-        add("histogram-overlap selectivity before execution.  Two target shapes:")
-        add("a selective filter over a derived similarity join (pushed into the")
-        add("eps-join's left input) and a three-relation chain written worst-first")
-        add("(the small relation is moved forward).  The `bit identical` column is")
-        add("asserted in-process — the optimized arm must return exactly the rows")
-        add("of the `optimizer=False` reference arm, which the randomized")
-        add("equivalence suite (`tests/minidb/test_optimizer.py`) also")
-        add("checks across both PointSet backends and 1/2 workers.")
-        add("")
-        rows = data["optimizer_rewrites"]
-        add("```")
-        add(format_table(
-            [
-                {
-                    "workload": r["workload"],
-                    "arm": r["arm"],
-                    "n": r["n"],
-                    "backend": r["backend"],
-                    "output rows": r["output_rows"],
-                    "seconds": round(r["seconds"], 4),
-                    "speedup vs reference": r.get("speedup") or "",
-                    "bit identical": r["bit_identical"],
-                }
-                for r in rows
-            ]
-        ))
-        add("```")
-        add("")
-
     # ---------------- fidelity notes ----------------
     add("## Fidelity notes (where the measured shape deviates from the paper)")
     add("")

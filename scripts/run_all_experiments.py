@@ -7,16 +7,14 @@ EXPERIMENTS.md from scratch:
     python scripts/generate_experiments_md.py experiment_results.json
 
 The default sizes finish in a few minutes on a laptop.  Pass ``--large`` to
-use sizes closer to the paper's (slower, sharper separation), and
-``--workers N`` to set the worker-process count the ``parallel_vs_serial``
-stage compares against the serial baseline (default: 2 and 4 workers).
+use sizes closer to the paper's (slower, sharper separation).
 
 Completed stages are checkpointed to ``experiment_results.checkpoint`` after
 each one finishes; an interrupted run restarted with ``--resume`` replays the
 finished stages from the checkpoint and only measures the remaining ones.
 The checkpoint is deleted once the full JSON is written.  A checkpoint taken
-under different flags (``--large`` / ``--workers``) is ignored — mixing sizes
-across a resume would produce incomparable rows.
+under a different ``--large`` setting is ignored — mixing sizes across a
+resume would produce incomparable rows.
 """
 
 from __future__ import annotations
@@ -31,17 +29,6 @@ from repro.storage.checkpoint import load_checkpoint, save_checkpoint
 
 CHECKPOINT_PATH = "experiment_results.checkpoint"
 _CHECKPOINT_FORMAT = "experiment-stages/1"
-
-
-def _parse_workers(argv: "list[str]") -> "tuple[int, ...]":
-    """Return the worker counts for the parallel stage (``--workers N``)."""
-    if "--workers" in argv:
-        position = argv.index("--workers")
-        try:
-            return (int(argv[position + 1]),)
-        except (IndexError, ValueError):
-            raise SystemExit("--workers expects an integer argument")
-    return (2, 4)
 
 
 def _load_resume(config: "dict", resume: bool) -> "dict":
@@ -61,13 +48,9 @@ def _load_resume(config: "dict", resume: bool) -> "dict":
     return dict(stages) if isinstance(stages, dict) else {}
 
 
-def main(
-    large: bool = False,
-    worker_counts: "tuple[int, ...]" = (2, 4),
-    resume: bool = False,
-) -> None:
+def main(large: bool = False, resume: bool = False) -> None:
     k = 2 if large else 1
-    config = {"large": large, "worker_counts": list(worker_counts)}
+    config = {"large": large}
     out = _load_resume(config, resume)
     stages = [
         ("fig9_join_any", lambda: E.fig9_sgb_all_epsilon("JOIN-ANY", n=1500 * k, eps_values=(0.1, 0.5, 0.9))),
@@ -78,20 +61,6 @@ def main(
         ("fig10_any", lambda: E.fig10_sgb_any_scale(sizes=(500 * k, 1000 * k, 2000 * k, 4000 * k))),
         ("fig11_brightkite", lambda: E.fig11_vs_clustering(sizes=(1000 * k, 2000 * k), dataset="brightkite")),
         ("fig11_gowalla", lambda: E.fig11_vs_clustering(sizes=(1000 * k, 2000 * k), dataset="gowalla")),
-        ("batch_vs_scalar", lambda: E.batch_vs_scalar(sizes=(10_000 * k, 25_000 * k))),
-        ("parallel_vs_serial", lambda: E.parallel_vs_serial(
-            sizes=(10_000 * k, 50_000 * k), worker_counts=worker_counts)),
-        ("planner_adaptive", lambda: E.planner_adaptive(
-            sizes=(10_000 * k, 30_000 * k), workers=max(worker_counts))),
-        ("streaming_window", lambda: E.streaming_window(
-            sizes=(10_000 * k, 25_000 * k), window=10_000 * k, slide=1_250 * k)),
-        ("join_vs_allpairs", lambda: E.join_vs_allpairs(sizes=(10_000 * k, 25_000 * k))),
-        ("fused_vs_materialized", lambda: E.fused_vs_materialized(sizes=(10_000 * k, 25_000 * k))),
-        ("knn_parallel", lambda: E.knn_parallel(
-            sizes=(5_000 * k, 10_000 * k), worker_counts=worker_counts)),
-        ("cache_warm_vs_cold", lambda: E.cache_warm_vs_cold(sizes=(10_000 * k, 25_000 * k))),
-        ("serving_overhead", lambda: E.serving_overhead(sizes=(2_000 * k, 5_000 * k))),
-        ("optimizer_rewrites", lambda: E.optimizer_rewrites(n=5_000 * k)),
         ("table1", lambda: E.table1_scaling_exponents(sizes=(500 * k, 1000 * k, 2000 * k))),
         ("table2", lambda: E.table2_tpch_queries(scale_factor=0.002 * k)),
         ("fig12", lambda: E.fig12_overhead(scale_factors=(0.001 * k, 0.002 * k))),
@@ -114,8 +83,4 @@ def main(
 
 
 if __name__ == "__main__":
-    main(
-        large="--large" in sys.argv,
-        worker_counts=_parse_workers(sys.argv),
-        resume="--resume" in sys.argv,
-    )
+    main(large="--large" in sys.argv, resume="--resume" in sys.argv)

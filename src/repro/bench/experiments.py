@@ -10,684 +10,28 @@ curves scale), not the absolute wall-clock numbers of the authors' testbed.
 from __future__ import annotations
 
 import math
-import random
 from typing import Dict, List, Optional, Sequence
 
-from repro.bench.harness import compare, measure
+from repro.bench.harness import measure
 from repro.bench.queries import sgb_queries, standard_queries
 from repro.clustering import birch, dbscan, kmeans
 from repro.core.api import sgb_all, sgb_any
 from repro.core.distance import Metric
-from repro.core.pointset import HAVE_NUMPY
 from repro.minidb.database import Database
 from repro.workloads.checkins import CheckinConfig, checkin_points, generate_checkins
-from repro.workloads.synthetic import clustered_points, uniform_points
+from repro.workloads.synthetic import clustered_points
 from repro.workloads.tpch import load_tpch
 
 __all__ = [
-    "batch_vs_scalar",
-    "cache_warm_vs_cold",
-    "parallel_vs_serial",
-    "serving_overhead",
-    "planner_adaptive",
-    "streaming_window",
-    "join_vs_allpairs",
-    "fused_vs_materialized",
-    "knn_parallel",
     "fig9_sgb_all_epsilon",
     "fig9_sgb_any_epsilon",
     "fig10_sgb_all_scale",
     "fig10_sgb_any_scale",
     "fig11_vs_clustering",
     "fig12_overhead",
-    "optimizer_rewrites",
     "table1_scaling_exponents",
     "table2_tpch_queries",
 ]
-
-
-# ---------------------------------------------------------------------------
-# Batched columnar pipeline vs the scalar point-at-a-time reference
-# ---------------------------------------------------------------------------
-
-
-def batch_vs_scalar(
-    sizes: Sequence[int] = (10_000, 25_000),
-    eps: float = 0.3,
-    strategy: str = "index",
-    metric: "Metric | str" = Metric.L2,
-    seed: int = 11,
-) -> List[Dict[str, object]]:
-    """Runtime of ``add_batch`` vs per-point ``add`` for both SGB operators.
-
-    Both paths produce identical groupings (enforced by the parity tests);
-    the rows carry a ``speedup`` column relative to the scalar path so the
-    benchmark JSON shows the batch win directly.
-    """
-    rows: List[Dict[str, object]] = []
-    for n in sizes:
-        points = clustered_points(
-            n, clusters=max(20, n // 250), spread=0.005, low=0.0, high=100.0, seed=seed
-        )
-        operators = {
-            # workers=1 pins the in-process batch pipeline: this experiment
-            # measures batch-vs-scalar, so an SGB_WORKERS environment default
-            # must not reroute the "batch" measurement through the sharded
-            # engine (parallel_vs_serial owns that comparison).
-            "SGB-Any": lambda batch: sgb_any(
-                points, eps=eps, metric=metric, strategy=strategy, batch=batch, workers=1
-            ),
-            # planner=False pins SGB-All the same way: the cost planner may
-            # not reroute the "batch" arm through its scalar candidate.
-            "SGB-All": lambda batch: sgb_all(
-                points, eps=eps, metric=metric, strategy=strategy, batch=batch,
-                planner=False,
-            ),
-        }
-        for operator, run in operators.items():
-            for m in compare(
-                {
-                    "scalar": lambda run=run: run(False),
-                    "batch": lambda run=run: run(True),
-                },
-                baseline="scalar",
-            ):
-                rows.append(
-                    {
-                        "experiment": "batch-vs-scalar",
-                        "operator": operator,
-                        "path": m.label,
-                        "n": n,
-                        "eps": eps,
-                        "strategy": strategy,
-                        "backend": "numpy" if HAVE_NUMPY else "python",
-                        "groups": m.value.group_count,
-                        "seconds": m.seconds,
-                        "speedup": m.params.get("speedup"),
-                    }
-                )
-    return rows
-
-
-# ---------------------------------------------------------------------------
-# Tiered result cache: cold compute vs warm replay
-# ---------------------------------------------------------------------------
-
-
-def cache_warm_vs_cold(
-    sizes: Sequence[int] = (10_000, 25_000),
-    eps: float = 0.3,
-    metric: "Metric | str" = Metric.L2,
-    seed: int = 23,
-) -> List[Dict[str, object]]:
-    """Cold compute vs warm cache replay for SGB-Any and the eps-join.
-
-    Each size runs the operator twice against a fresh in-memory
-    :class:`repro.storage.ResultCache`: the first (cold) run computes and
-    stores, the second (warm) run replays the stored result.  Rows carry the
-    warm speedup and an ``identical`` flag confirming the replay was
-    bit-identical — the cache is a pure memoisation, never an approximation.
-    """
-    from repro.core.api import sim_join
-    from repro.storage import ResultCache
-
-    rows: List[Dict[str, object]] = []
-    for n in sizes:
-        points = clustered_points(
-            n, clusters=max(20, n // 250), spread=0.005, low=0.0, high=100.0, seed=seed
-        )
-        half = clustered_points(
-            max(2, n // 2), clusters=max(10, n // 500), spread=0.005,
-            low=0.0, high=100.0, seed=seed + 1,
-        )
-        runners = {
-            # workers=1 pins the serial batch pipeline so cold timings are
-            # stable; the cache key ignores worker counts anyway.
-            "SGB-Any": lambda cache: sgb_any(
-                points, eps=eps, metric=metric, cache=cache, workers=1
-            ),
-            "eps-join": lambda cache: sim_join(
-                points, half, eps=eps, metric=metric, cache=cache, workers=1
-            ),
-        }
-        for operator, run in runners.items():
-            cache = ResultCache.memory()
-            cold = measure(lambda run=run, cache=cache: run(cache))
-            warm = measure(lambda run=run, cache=cache: run(cache))
-            if operator == "SGB-Any":
-                identical = (
-                    cold.value.groups == warm.value.groups
-                    and cold.value.eliminated == warm.value.eliminated
-                )
-            else:
-                identical = list(cold.value) == list(warm.value)
-            for phase, m in (("cold", cold), ("warm", warm)):
-                rows.append(
-                    {
-                        "experiment": "cache-warm-vs-cold",
-                        "operator": operator,
-                        "phase": phase,
-                        "n": n,
-                        "eps": eps,
-                        "backend": "numpy" if HAVE_NUMPY else "python",
-                        "seconds": m.seconds,
-                        "speedup": (
-                            round(cold.seconds / warm.seconds, 2)
-                            if phase == "warm" and warm.seconds
-                            else None
-                        ),
-                        "cache_hits": cache.hits,
-                        "identical": identical,
-                    }
-                )
-    return rows
-
-
-# ---------------------------------------------------------------------------
-# HTTP serving overhead vs the in-process call
-# ---------------------------------------------------------------------------
-
-
-def serving_overhead(
-    sizes: Sequence[int] = (2_000, 5_000),
-    eps: float = 0.3,
-    requests_per_client: int = 4,
-    concurrencies: Sequence[int] = (1, 8),
-    seed: int = 5,
-) -> List[Dict[str, object]]:
-    """HTTP request latency vs the in-process call, at 1 and N clients.
-
-    Boots the :mod:`repro.server` service in-process (ephemeral port) and
-    runs the same SGB-Any batch through ``POST /v1/sgb`` — once with a single
-    sequential client and once with ``N`` concurrent clients (one keep-alive
-    connection per thread, the client contract).  Rows carry the mean
-    per-request latency, the aggregate throughput, the overhead factor
-    against the bare :func:`repro.sgb_any` call, and an ``identical`` flag:
-    every HTTP response decoded back equal to the in-process payload.
-
-    The result cache is pinned off on both sides (``cache=False``): with a
-    warm cache the repeated requests would measure a cache probe instead of
-    the grouping, and cached results drop the advisory ``plan``, breaking
-    the bit-identity comparison.
-    """
-    import json
-    import threading
-    import time as _time
-
-    from repro.server.jsonio import grouping_result_payload
-    from repro.server.testing import running_server
-
-    rows: List[Dict[str, object]] = []
-    for n in sizes:
-        points = [
-            list(p)
-            for p in clustered_points(
-                n, clusters=max(10, n // 200), spread=0.01, seed=seed
-            )
-        ]
-        # workers=1 pins the serial batch pipeline on both sides, so the
-        # measured gap is transport + JSON, not a scheduling difference.
-        in_process = measure(
-            lambda: sgb_any(points, eps=eps, workers=1, cache=False), repeat=2
-        )
-        expected = json.loads(
-            json.dumps(grouping_result_payload(in_process.value))
-        )
-        with running_server(cache=False) as server:
-            for clients in concurrencies:
-                latencies: List[float] = []
-                mismatches: List[int] = []
-                lock = threading.Lock()
-
-                def worker() -> None:
-                    client = server.client()
-                    try:
-                        for _ in range(requests_per_client):
-                            start = _time.perf_counter()
-                            got = client.sgb(points, eps, kind="any", workers=1)
-                            elapsed = _time.perf_counter() - start
-                            with lock:
-                                latencies.append(elapsed)
-                                if got != expected:
-                                    mismatches.append(1)
-                    finally:
-                        client.close()
-
-                wall_start = _time.perf_counter()
-                threads = [
-                    threading.Thread(target=worker) for _ in range(clients)
-                ]
-                for thread in threads:
-                    thread.start()
-                for thread in threads:
-                    thread.join()
-                wall = _time.perf_counter() - wall_start
-                total = clients * requests_per_client
-                mean_latency = sum(latencies) / len(latencies)
-                rows.append(
-                    {
-                        "experiment": "serving-overhead",
-                        "n": n,
-                        "eps": eps,
-                        "clients": clients,
-                        "requests": total,
-                        "backend": "numpy" if HAVE_NUMPY else "python",
-                        "in_process_s": in_process.seconds,
-                        "mean_request_s": round(mean_latency, 6),
-                        "throughput_rps": round(total / wall, 2) if wall else None,
-                        "overhead_factor": (
-                            round(mean_latency / in_process.seconds, 2)
-                            if in_process.seconds
-                            else None
-                        ),
-                        "identical": not mismatches,
-                    }
-                )
-    return rows
-
-
-# ---------------------------------------------------------------------------
-# Sharded parallel engine vs the serial batch pipeline
-# ---------------------------------------------------------------------------
-
-
-def parallel_vs_serial(
-    sizes: Sequence[int] = (10_000, 50_000),
-    eps: float = 0.3,
-    worker_counts: Sequence[int] = (2, 4),
-    metric: "Metric | str" = Metric.L2,
-    seed: int = 17,
-) -> List[Dict[str, object]]:
-    """Runtime of sharded parallel SGB-Any vs the serial batch path.
-
-    Both paths return identical group assignments (enforced by the
-    equivalence suite); the serial batch run is the pinned baseline, so the
-    ``speedup`` column reports the worker-pool win directly.  On boxes with
-    fewer cores than workers the "speedup" degrades towards (or below) 1.0 —
-    the rows carry ``cpu_count`` so the report can say why.
-    """
-    import os
-
-    rows: List[Dict[str, object]] = []
-    cpu_count = os.cpu_count() or 1
-    for n in sizes:
-        points = clustered_points(
-            n, clusters=max(20, n // 250), spread=0.005, low=0.0, high=100.0, seed=seed
-        )
-        runs = {"serial": lambda: sgb_any(points, eps=eps, metric=metric, workers=1)}
-        for w in worker_counts:
-            runs[f"workers={w}"] = lambda w=w: sgb_any(
-                points, eps=eps, metric=metric, workers=w
-            )
-        for m in compare(runs, baseline="serial"):
-            rows.append(
-                {
-                    "experiment": "parallel-vs-serial",
-                    "operator": "SGB-Any",
-                    "path": m.label,
-                    "n": n,
-                    "eps": eps,
-                    "cpu_count": cpu_count,
-                    "backend": "numpy" if HAVE_NUMPY else "python",
-                    "groups": m.value.group_count,
-                    "seconds": m.seconds,
-                    "speedup": m.params.get("speedup"),
-                }
-            )
-    return rows
-
-
-# ---------------------------------------------------------------------------
-# Cost planner: adaptive mode/fan-out choice vs forced decompositions
-# ---------------------------------------------------------------------------
-
-
-def _skewed_points(
-    n: int, low: float = 0.0, high: float = 100.0, hot_fraction: float = 0.7, seed: int = 47
-) -> List[tuple]:
-    """Uniform background plus a hot gaussian slab spanning a few eps-cells."""
-    rng = random.Random(seed)
-    span = high - low
-    centre = low + span / 2.0
-    points = []
-    for _ in range(n):
-        if rng.random() < hot_fraction:
-            x = min(high, max(low, rng.gauss(centre, span * 0.03)))
-            points.append((x, low + rng.random() * span))
-        else:
-            points.append((low + rng.random() * span, low + rng.random() * span))
-    return points
-
-
-def planner_adaptive(
-    sizes: Sequence[int] = (10_000, 30_000),
-    eps: float = 0.3,
-    workers: int = 4,
-    metric: "Metric | str" = Metric.L2,
-    seed: int = 47,
-) -> List[Dict[str, object]]:
-    """Planner-chosen execution vs forced decompositions on uniform/skewed data.
-
-    Three arms per workload: the serial batch baseline (``workers=1``), the
-    legacy one-slab-per-worker decomposition (sharded engine forced to
-    ``shards == workers``), and the delegated ``workers="auto"`` path where
-    the cost planner picks mode, worker count, and shard fan-out from the
-    cached statistics.  The baseline for the ``speedup`` column is
-    one-slab-per-worker, so the auto row reports the adaptive-fan-out gain
-    directly: on skewed inputs the planner's over-decomposition (fan-out >
-    workers) should win, on uniform inputs the arms should be close.  Rows
-    carry ``plan`` (the auto arm's chosen plan) and ``cpu_count`` — on boxes
-    with fewer cores than ``workers`` the ratios degrade towards 1.0 and the
-    report can say why.
-    """
-    import os
-
-    from repro.engine import sgb_any_sharded
-
-    rows: List[Dict[str, object]] = []
-    cpu_count = os.cpu_count() or 1
-    workloads = {
-        "uniform": lambda n: uniform_points(n, low=0.0, high=100.0, seed=seed),
-        "skewed": lambda n: _skewed_points(n, low=0.0, high=100.0, seed=seed),
-    }
-    naive = f"one-slab-per-worker ({workers}w)"
-    for workload, make in workloads.items():
-        for n in sizes:
-            points = make(n)
-            runs = {
-                naive: lambda: sgb_any_sharded(
-                    points, eps=eps, metric=metric, workers=workers, shards=workers
-                ),
-                "serial": lambda: sgb_any(points, eps=eps, metric=metric, workers=1),
-                "auto (planner)": lambda: sgb_any(
-                    points, eps=eps, metric=metric, workers="auto"
-                ),
-            }
-            for m in compare(runs, baseline=naive):
-                plan = getattr(m.value, "plan", None)
-                rows.append(
-                    {
-                        "experiment": "planner-adaptive",
-                        "workload": workload,
-                        "path": m.label,
-                        "n": n,
-                        "eps": eps,
-                        "cpu_count": cpu_count,
-                        "backend": "numpy" if HAVE_NUMPY else "python",
-                        "groups": m.value.group_count,
-                        "seconds": m.seconds,
-                        "speedup": m.params.get("speedup"),
-                        "plan": plan.describe() if plan is not None else None,
-                    }
-                )
-    return rows
-
-
-# ---------------------------------------------------------------------------
-# Streaming windows: incremental flushes vs full re-grouping per window
-# ---------------------------------------------------------------------------
-
-
-def streaming_window(
-    sizes: Sequence[int] = (10_000, 25_000),
-    window: int = 10_000,
-    slide: int = 1_250,
-    eps: float = 0.3,
-    metric: "Metric | str" = Metric.L2,
-    seed: int = 31,
-) -> List[Dict[str, object]]:
-    """Runtime of the windowed incremental stream vs re-grouping every window.
-
-    The incremental path (``repro.stream``) discovers each eps-edge once and
-    repairs the forest on eviction; the baseline re-runs the full batch
-    ``sgb_any`` over the window's live points at every slide, which is what a
-    system without streaming support would have to do.  Both produce
-    bit-identical per-window groupings (enforced by the equivalence suite);
-    the advantage grows with the window/slide ratio since the baseline
-    re-processes every point ``window / slide`` times.
-    """
-    from repro.stream.session import StreamingSGB
-
-    rows: List[Dict[str, object]] = []
-    for n in sizes:
-        points = clustered_points(
-            n, clusters=max(20, n // 250), spread=0.005, low=0.0, high=100.0, seed=seed
-        )
-        # Clamp to the stream size while keeping the whole-epoch invariant
-        # (the window must stay a multiple of the slide).
-        w = min(window, n)
-        s = min(slide, w)
-        w -= w % s
-
-        def incremental() -> int:
-            session = StreamingSGB(eps, metric=metric, window=w, slide=s, workers=1)
-            flushes = session.ingest(points)
-            flushes.extend(session.close())
-            return len(flushes)
-
-        def full_regroup() -> int:
-            # Same flush boundaries as the session: every full epoch plus the
-            # trailing partial one the incremental path flushes on close().
-            ends = list(range(s, n + 1, s))
-            if n % s:
-                ends.append(n)
-            for end in ends:
-                sgb_any(points[max(0, end - w) : end], eps=eps, metric=metric, workers=1)
-            return len(ends)
-
-        for m in compare(
-            {"full-regroup": full_regroup, "incremental": incremental},
-            baseline="full-regroup",
-        ):
-            rows.append(
-                {
-                    "experiment": "streaming-window",
-                    "path": m.label,
-                    "n": n,
-                    "window": w,
-                    "slide": s,
-                    "eps": eps,
-                    "flushes": m.value,
-                    "backend": "numpy" if HAVE_NUMPY else "python",
-                    "seconds": m.seconds,
-                    "speedup": m.params.get("speedup"),
-                }
-            )
-    return rows
-
-
-# ---------------------------------------------------------------------------
-# Grid eps-join vs the all-pairs nested-loop baseline
-# ---------------------------------------------------------------------------
-
-
-def join_vs_allpairs(
-    sizes: Sequence[int] = (10_000, 25_000),
-    eps: float = 0.3,
-    metric: "Metric | str" = Metric.L2,
-    seed: int = 11,
-) -> List[Dict[str, object]]:
-    """Runtime of the eps-grid similarity join vs the all-pairs baseline.
-
-    Each size is the *total* point count, split evenly between two clustered
-    relations with distinct layouts.  Both paths return the identical sorted
-    pair list (enforced by the equivalence suite); the all-pairs run is the
-    pinned baseline, so the ``speedup`` column reports the grid pruning win
-    directly.  ``workers=1`` pins the in-process grid join — the sharded
-    path is the engine's story (``parallel_vs_serial``), not this one's.
-    """
-    from repro.join import eps_join, eps_join_allpairs
-
-    rows: List[Dict[str, object]] = []
-    for n in sizes:
-        half = n // 2
-        left = clustered_points(
-            half, clusters=max(20, n // 500), spread=0.005, low=0.0, high=100.0, seed=seed
-        )
-        right = clustered_points(
-            half, clusters=max(20, n // 500), spread=0.005, low=0.0, high=100.0,
-            seed=seed + 1,
-        )
-        for m in compare(
-            {
-                "all-pairs": lambda left=left, right=right: eps_join_allpairs(
-                    left, right, eps, metric=metric
-                ),
-                "grid": lambda left=left, right=right: eps_join(
-                    left, right, eps, metric=metric, workers=1
-                ),
-            },
-            baseline="all-pairs",
-        ):
-            rows.append(
-                {
-                    "experiment": "join-vs-allpairs",
-                    "path": m.label,
-                    "n": n,
-                    "n_left": half,
-                    "n_right": half,
-                    "eps": eps,
-                    "pairs": len(m.value),
-                    "backend": "numpy" if HAVE_NUMPY else "python",
-                    "seconds": m.seconds,
-                    "speedup": m.params.get("speedup"),
-                }
-            )
-    return rows
-
-
-# ---------------------------------------------------------------------------
-# Fused join→group pipeline vs materialize-then-group
-# ---------------------------------------------------------------------------
-
-
-def fused_vs_materialized(
-    sizes: Sequence[int] = (10_000, 25_000),
-    eps: float = 0.3,
-    group_eps: float = 0.5,
-    metric: "Metric | str" = Metric.L2,
-    seed: int = 23,
-) -> List[Dict[str, object]]:
-    """Runtime of the fused eps-join→SGB-Any pipeline vs the two-step path.
-
-    The baseline materialises the matched side of every join pair and then
-    groups that pair-point relation with ``sgb_any``; the fused path groups
-    only the *distinct* matched points and expands the components over the
-    pair positions afterwards.  Both produce identical canonical groupings
-    (enforced by the equivalence suite), so the ``speedup`` column reports
-    the dedup win — it grows with the pair/point fan-out.
-    """
-    from repro.core.pointset import PointSet
-    from repro.join import eps_join, fused_join_group
-
-    rows: List[Dict[str, object]] = []
-    for n in sizes:
-        half = n // 2
-        left = clustered_points(
-            half, clusters=max(20, n // 500), spread=0.005, low=0.0, high=100.0, seed=seed
-        )
-        right = clustered_points(
-            half, clusters=max(20, n // 500), spread=0.005, low=0.0, high=100.0,
-            seed=seed + 1,
-        )
-        right_ps = PointSet.from_any(right)
-
-        def materialized() -> int:
-            pairs = eps_join(left, right, eps, metric=metric, workers=1)
-            pair_points = [right_ps.point(j) for _, j in pairs]
-            if not pair_points:
-                return 0
-            return sgb_any(pair_points, eps=group_eps, metric=metric, workers=1).group_count
-
-        def fused() -> int:
-            result = fused_join_group(
-                left, right, group_eps, eps=eps, metric=metric, workers=1
-            )
-            return len(result.grouping.groups)
-
-        for m in compare(
-            {"materialized": materialized, "fused": fused}, baseline="materialized"
-        ):
-            rows.append(
-                {
-                    "experiment": "fused-vs-materialized",
-                    "path": m.label,
-                    "n": n,
-                    "eps": eps,
-                    "group_eps": group_eps,
-                    "groups": m.value,
-                    "backend": "numpy" if HAVE_NUMPY else "python",
-                    "seconds": m.seconds,
-                    "speedup": m.params.get("speedup"),
-                }
-            )
-    return rows
-
-
-# ---------------------------------------------------------------------------
-# Sharded parallel kNN-join vs the serial expanding-probe join
-# ---------------------------------------------------------------------------
-
-
-def knn_parallel(
-    sizes: Sequence[int] = (10_000, 25_000),
-    k: int = 4,
-    worker_counts: Sequence[int] = (2, 4),
-    metric: "Metric | str" = Metric.L2,
-    seed: int = 29,
-) -> List[Dict[str, object]]:
-    """Runtime of the sharded kNN-join vs the serial expanding-probe join.
-
-    Each size is the total point count, split evenly between the two
-    relations.  The sharded path partitions the *left* relation and ships
-    the whole right side to every worker — ``rebuild`` mode lets each worker
-    bulk-load its own R-tree, ``ship-index`` pickles the coordinator's tree
-    into the task payload.  All paths return the identical sorted pair list
-    (enforced by the equivalence suite).  Rows carry ``cpu_count`` so the
-    report can explain sub-linear speedups on small boxes.
-    """
-    import os
-
-    from repro.join import knn_join, knn_join_sharded
-
-    rows: List[Dict[str, object]] = []
-    cpu_count = os.cpu_count() or 1
-    for n in sizes:
-        half = n // 2
-        left = clustered_points(
-            half, clusters=max(20, n // 500), spread=0.005, low=0.0, high=100.0, seed=seed
-        )
-        right = clustered_points(
-            half, clusters=max(20, n // 500), spread=0.005, low=0.0, high=100.0,
-            seed=seed + 1,
-        )
-        runs = {
-            "serial": lambda: knn_join(left, right, k, metric=metric, workers=1)
-        }
-        for w in worker_counts:
-            runs[f"workers={w}/rebuild"] = lambda w=w: knn_join_sharded(
-                left, right, k, metric=metric, workers=w, ship_index=False
-            )
-            runs[f"workers={w}/ship-index"] = lambda w=w: knn_join_sharded(
-                left, right, k, metric=metric, workers=w, ship_index=True
-            )
-        for m in compare(runs, baseline="serial"):
-            rows.append(
-                {
-                    "experiment": "knn-parallel",
-                    "path": m.label,
-                    "n": n,
-                    "n_left": half,
-                    "n_right": half,
-                    "k": k,
-                    "cpu_count": cpu_count,
-                    "pairs": len(m.value),
-                    "backend": "numpy" if HAVE_NUMPY else "python",
-                    "seconds": m.seconds,
-                    "speedup": m.params.get("speedup"),
-                }
-            )
-    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -873,7 +217,7 @@ def fig11_vs_clustering(
 
         # batch=False on every SGB line: like the other figure runners, this
         # reproduces the paper's per-tuple operators; the batched pipelines
-        # have their own comparison (batch_vs_scalar).
+        # have their own gate (benchmarks/test_batch_vs_scalar.py).
         competitors = {
             "DBSCAN": lambda: dbscan(points, eps=eps, min_pts=4),
             "BIRCH": lambda: birch(points, threshold=eps / 2),
@@ -914,8 +258,9 @@ def _tpch_database(scale_factor: float, strategy: str = "index") -> Database:
     # serial operator costs, so an SGB_WORKERS environment default must not
     # switch their SGB-Any plans onto the sharded engine.  optimizer=False
     # pins the logical plans the same way: the figure/table runners measure
-    # the reference plans, and the rewrite layer (optimizer_rewrites owns
-    # that comparison) may not re-place filters or reorder joins under them.
+    # the reference plans, and the rewrite layer (measured on its own by
+    # benchmarks/test_optimizer_rewrites.py) may not re-place filters or
+    # reorder joins under them.
     db = Database(sgb_strategy=strategy, sgb_workers=1, optimizer=False)
     load_tpch(db, scale_factor=scale_factor)
     return db
@@ -996,110 +341,6 @@ def fig12_overhead(
                         "overhead_pct": round(overhead, 1),
                     }
                 )
-    return rows
-
-
-# ---------------------------------------------------------------------------
-# Cost-driven rewrite layer: optimized vs reference logical plans
-# ---------------------------------------------------------------------------
-
-
-def _optimizer_tables(db: Database, n: int, seed: int) -> None:
-    rng = random.Random(seed)
-    db.execute("CREATE TABLE pa (x FLOAT, y FLOAT)")
-    db.execute("CREATE TABLE pb (x FLOAT, y FLOAT)")
-    db.insert_rows(
-        "pa", [(rng.uniform(0.0, 100.0), rng.uniform(0.0, 100.0)) for _ in range(n)]
-    )
-    db.insert_rows(
-        "pb", [(rng.uniform(0.0, 100.0), rng.uniform(0.0, 100.0)) for _ in range(n)]
-    )
-    db.execute("CREATE TABLE r1 (k INT, v FLOAT)")
-    db.execute("CREATE TABLE r2 (k INT, j INT)")
-    db.execute("CREATE TABLE r3 (j INT, w FLOAT)")
-    m = max(200, n // 2)
-    db.insert_rows("r1", [(i % 10, float(i)) for i in range(m)])
-    db.insert_rows("r2", [(i % 10, i) for i in range(m)])
-    db.insert_rows("r3", [(j, float(j) * 0.5) for j in range(20)])
-
-
-def _optimizer_queries(eps: float) -> Dict[str, str]:
-    # Workload 1: a selective predicate over a derived similarity join —
-    # the push-down rule sinks it through the derived table into the
-    # eps-join's left input, shrinking the pair enumeration itself.
-    filtered_sim = (
-        "SELECT d.ax, d.ay, d.bx FROM "
-        "(SELECT a.x AS ax, a.y AS ay, b.x AS bx FROM pa AS a "
-        f"SIMILARITY JOIN pb AS b ON DISTANCE(a.x, a.y, b.x, b.y) WITHIN {eps}) AS d "
-        "WHERE d.ax < 5.0"
-    )
-    # Workload 2: a 3-relation chain written worst-first — r1 >< r2 explodes
-    # (both keys take 10 values), while r2 >< r3 is tiny.  The reorder rule
-    # moves r3 forward using histogram-overlap selectivities.
-    join_chain = (
-        "SELECT r1.v, r3.w FROM r1, r2, r3 "
-        "WHERE r1.k = r2.k AND r2.j = r3.j"
-    )
-    return {"filtered-sim-join": filtered_sim, "join-reorder": join_chain}
-
-
-def optimizer_rewrites(
-    n: int = 5_000,
-    eps: float = 3.0,
-    seed: int = 47,
-) -> List[Dict[str, object]]:
-    """Rewrite-layer speedups: optimized plans vs ``optimizer=False``.
-
-    Two workloads, each run through a database with the optimizer on and an
-    identically loaded one with ``optimizer=False``: a selective filter over
-    a derived similarity join (filter push-down) and a 3-relation join chain
-    written in the worst order (join reordering).  Both arms must return
-    bit-identical rows — the runner re-checks the equivalence contract on
-    every measured query and records the applied rewrite trace.
-    """
-    optimized = Database(optimizer=True)
-    reference = Database(optimizer=False)
-    for db in (optimized, reference):
-        _optimizer_tables(db, n, seed)
-    rows: List[Dict[str, object]] = []
-    for name, sql in _optimizer_queries(eps).items():
-        results: Dict[str, object] = {}
-
-        def run(db: Database, store: str):
-            result = db.execute(sql)
-            results[store] = result
-            return result
-
-        measurements = compare(
-            {
-                "optimized": lambda: run(optimized, "optimized"),
-                "reference": lambda: run(reference, "reference"),
-            },
-            baseline="reference",
-        )
-        opt, ref = results["optimized"], results["reference"]
-        if opt.rows != ref.rows:
-            raise AssertionError(
-                f"optimizer changed the output of {name!r}: "
-                f"{len(opt.rows)} vs {len(ref.rows)} rows"
-            )
-        for m in measurements:
-            rewrites = list(opt.rewrites) if m.label == "optimized" else []
-            rows.append(
-                {
-                    "experiment": "optimizer-rewrites",
-                    "workload": name,
-                    "arm": m.label,
-                    "n": n,
-                    "eps": eps,
-                    "backend": "numpy" if HAVE_NUMPY else "python",
-                    "output_rows": len(m.value.rows),
-                    "bit_identical": True,
-                    "rewrites": rewrites,
-                    "seconds": m.seconds,
-                    "speedup": m.params.get("speedup"),
-                }
-            )
     return rows
 
 

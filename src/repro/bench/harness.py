@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional
+from dataclasses import dataclass
+from typing import Any, Callable
 
-__all__ = ["Measurement", "measure", "sweep", "compare"]
+__all__ = ["Measurement", "measure"]
 
 
 @dataclass
@@ -16,16 +16,9 @@ class Measurement:
     seconds: float
     value: Any = None
     label: str = ""
-    params: Dict[str, Any] = field(default_factory=dict)
-
-    def row(self) -> Dict[str, Any]:
-        """Return a flat dict suitable for tabular reporting."""
-        out: Dict[str, Any] = {"label": self.label, "seconds": round(self.seconds, 6)}
-        out.update(self.params)
-        return out
 
 
-def measure(fn: Callable[[], Any], label: str = "", repeat: int = 1, **params: Any) -> Measurement:
+def measure(fn: Callable[[], Any], label: str = "", repeat: int = 1) -> Measurement:
     """Run ``fn`` ``repeat`` times and return the best (minimum) wall-clock time.
 
     The minimum over repeats is the conventional way to suppress scheduler
@@ -39,49 +32,5 @@ def measure(fn: Callable[[], Any], label: str = "", repeat: int = 1, **params: A
         elapsed = time.perf_counter() - start
         if elapsed < best:
             best = elapsed
-    return Measurement(seconds=best, value=value, label=label, params=dict(params))
+    return Measurement(seconds=best, value=value, label=label)
 
-
-def compare(
-    fns: "Dict[str, Callable[[], Any]]",
-    baseline: Optional[str] = None,
-    repeat: int = 1,
-    **params: Any,
-) -> List[Measurement]:
-    """Time several implementations of the same computation side by side.
-
-    ``fns`` maps a label to a zero-argument callable (e.g. ``{"scalar": ...,
-    "batch": ...}``).  When ``baseline`` names one of the labels, every
-    measurement gains a ``speedup`` parameter relative to it, so the rows the
-    experiment runners emit carry the scalar-vs-batch ratio directly into the
-    benchmark JSONs.
-    """
-    if baseline is not None and baseline not in fns:
-        raise ValueError(f"unknown baseline label: {baseline!r}")
-    results = [
-        measure(fn, label=name, repeat=repeat, **params) for name, fn in fns.items()
-    ]
-    if baseline is not None:
-        base = next(m.seconds for m in results if m.label == baseline)
-        for m in results:
-            if m.seconds > 0:
-                m.params["speedup"] = round(base / m.seconds, 2)
-    return results
-
-
-def sweep(
-    fn: Callable[..., Any],
-    parameter: str,
-    values: Iterable[Any],
-    label: str = "",
-    **fixed: Any,
-) -> List[Measurement]:
-    """Run ``fn`` once per value of ``parameter`` and time each run."""
-    results: List[Measurement] = []
-    for value in values:
-        kwargs = dict(fixed)
-        kwargs[parameter] = value
-        results.append(
-            measure(lambda kw=kwargs: fn(**kw), label=label, **{parameter: value})
-        )
-    return results

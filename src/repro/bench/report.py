@@ -78,9 +78,8 @@ def speedup(rows: Sequence[Dict[str, Any]], baseline_label: str, key: str = "str
 def write_json(rows: "Sequence[Dict[str, Any]] | Dict[str, Any]", path: str) -> str:
     """Dump experiment rows to ``path`` as indented JSON; return the path.
 
-    This is the same serialisation ``scripts/run_all_experiments.py`` uses for
-    ``experiment_results.json``, so ad-hoc benchmark runs and the full
-    experiment sweep produce interchangeable artifacts.
+    ``scripts/run_all_experiments.py`` writes ``experiment_results.json``
+    with it, and ``benchmarks/test_batch_vs_scalar.py`` its timing rows.
     """
     with open(path, "w") as f:
         json.dump(rows, f, indent=1)

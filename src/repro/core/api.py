@@ -91,7 +91,6 @@ def sgb_all(
     seed: int = 0,
     index_factory: Optional[IndexFactory] = None,
     batch: bool = True,
-    planner: bool = True,
     cache: object = None,
 ) -> GroupingResult:
     """Run the SGB-All (distance-to-all / clique) operator over ``points``.
@@ -119,13 +118,9 @@ def sgb_all(
     batch:
         Route through the batched columnar pipeline (default).  ``False``
         forces the scalar point-at-a-time reference path; both produce
-        identical results.
-    planner:
-        Let the cost planner pick scalar vs frontier from the batch's
-        statistics (default; advisory about time only, recorded on
-        ``result.plan``).  ``False`` pins exactly the path the flags name —
-        the benchmark runners use this so measurements stay comparable
-        across machines.
+        identical results.  With the default ``index`` strategy and no
+        ``index_factory``, ``result.plan`` reports whether the batch takes
+        the frontier path or the per-point loop.
     cache:
         Result cache for repeated groupings of identical data: ``True`` (the
         process-wide default cache), a spill-directory path, or a
@@ -163,7 +158,6 @@ def sgb_all(
         seed=seed,
         index_factory=index_factory,
         batch=batch,
-        planner=planner,
     )
     if resolved is not None:
         resolved.put_grouping(key, result)

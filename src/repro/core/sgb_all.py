@@ -159,7 +159,7 @@ class SGBAllGrouper:
         decision *sequence* of :meth:`add` — the results are bit-identical —
         but replaces the per-point candidate discovery with whole-frontier
         verification where the configuration allows it (see
-        :meth:`_frontier_eligible`): one eps-grid sweep computes the exact
+        :meth:`frontier_eligible`): one eps-grid sweep computes the exact
         within-eps adjacency of the entire batch up front
         (:meth:`PointSet.pairwise_within` within the batch,
         :meth:`PointSet.cross_within` against earlier points), and each
@@ -186,7 +186,7 @@ class SGBAllGrouper:
                     f"input row index {base + offset} was already added to this grouper"
                 )
         neighbours = (
-            self._batch_neighbours(ps, base) if self._frontier_eligible(ps.dims) else None
+            self._batch_neighbours(ps, base) if self.frontier_eligible(ps.dims) else None
         )
         for offset, pt in enumerate(tuples):
             index = base + offset
@@ -198,7 +198,7 @@ class SGBAllGrouper:
             else:
                 self._process_point_frontier(index, pt, neighbours[offset])
 
-    def _frontier_eligible(self, dims: int) -> bool:
+    def frontier_eligible(self, dims: int) -> bool:
         """True when per-point candidate decisions are pure adjacency functions.
 
         ALL_PAIRS decides candidacy with exact per-member distance checks;
@@ -486,7 +486,6 @@ def sgb_all_grouping(
     seed: int = 0,
     index_factory: Optional[IndexFactory] = None,
     batch: bool = True,
-    planner: bool = True,
 ) -> GroupingResult:
     """Group ``points`` with the SGB-All operator and return the result.
 
@@ -498,10 +497,10 @@ def sgb_all_grouping(
     results (enforced by the parity test suite).
 
     With the default pipeline flags (``batch=True``, no explicit index or
-    strategy) the cost planner scores the scalar vs frontier candidates and
-    records its advisory choice on ``result.plan``;
-    explicitly pinned flags — or ``planner=False`` — bypass the planner so
-    benchmarks measure the path they named.
+    strategy) ``result.plan`` records the cost planner's report of the path
+    :meth:`SGBAllGrouper.add_batch` takes (frontier or per-point loop);
+    explicitly pinned flags leave the planner out, so benchmarks measure
+    exactly the path they named.
     """
     grouper = SGBAllGrouper(
         eps=eps,
@@ -512,22 +511,16 @@ def sgb_all_grouping(
         index_factory=index_factory,
     )
     plan = None
-    if (
-        planner
-        and batch
-        and index_factory is None
-        and SGBAllStrategy.parse(strategy) is SGBAllStrategy.INDEX
-    ):
+    if batch and index_factory is None and grouper.strategy is SGBAllStrategy.INDEX:
         from repro.engine.cost import plan_sgb_all
         from repro.engine.stats import collect_stats
 
-        ps = PointSet.from_any(points)
-        plan = plan_sgb_all(collect_stats(ps), grouper.eps)
-        points = ps
-    if batch and not (plan is not None and plan.mode == "scalar"):
+        points = PointSet.from_any(points)
+        plan = plan_sgb_all(
+            collect_stats(points), grouper.eps, grouper.frontier_eligible(points.dims)
+        )
+    if batch:
         grouper.add_batch(points)
-    elif plan is not None and plan.mode == "scalar":
-        grouper.add_all(PointSet.from_any(points).to_tuples())
     else:
         grouper.add_all(points)
     result = grouper.finalize()

@@ -9,7 +9,7 @@ winner with its estimated cost:
 operator       candidate modes
 =============  ==========================================================
 ``sgb_any``    ``scalar`` · ``batch`` (serial grid) · ``sharded``
-``sgb_all``    ``scalar`` · ``frontier`` (batched frontier discovery)
+``sgb_all``    ``scalar`` · ``frontier`` (reported, not chosen)
 ``eps_join``   ``allpairs`` · ``grid`` · ``sharded``
 ``knn_join``   ``serial`` · ``sharded``
 ``stream``     ``incremental`` · ``sharded-flush``
@@ -343,14 +343,17 @@ def plan_sgb_any(
 def plan_sgb_all(
     stats: PointStats,
     eps: float,
+    frontier_eligible: bool,
     cpu_count: Optional[int] = None,
 ) -> PhysicalPlan:
-    """Choose the execution mode for one SGB-All batch.
+    """Report the execution mode of one SGB-All batch.
 
     SGB-All's group semantics are order-dependent (overlap arbitration), so
-    there is no sharded candidate — the choice is scalar vs the batched
-    frontier pipeline, which wins as soon as the batch has enough points to
-    amortise its columnar staging.
+    there is no sharded candidate, and the mode is not a cost choice:
+    :meth:`~repro.core.sgb_all.SGBAllGrouper.add_batch` takes the frontier
+    path exactly when the grouper's ``frontier_eligible`` holds for the
+    batch and the per-point (``scalar``) loop otherwise.  The caller passes
+    that flag in; the plan names the path that runs and prices both.
     """
     n = stats.count
     pairs = stats.estimated_pairs(eps)
@@ -358,13 +361,13 @@ def plan_sgb_all(
     scalar_cost = (PROFILE.c_point * 4.0) * n + PROFILE.c_pair * pairs * 2.0
     frontier_cost = PROFILE.c_point * n + PROFILE.c_pair * pairs
     details = {"scalar": scalar_cost, "frontier": frontier_cost}
-    if n < 32:
+    if not frontier_eligible:
         return PhysicalPlan(
             op="sgb_all",
             mode="scalar",
             est_cost=scalar_cost,
             est_rows=est_rows,
-            reason=f"n={n} tiny",
+            reason="rectangle filter inexact for this metric and dims",
             details=details,
         )
     return PhysicalPlan(
@@ -372,7 +375,7 @@ def plan_sgb_all(
         mode="frontier",
         est_cost=frontier_cost,
         est_rows=est_rows,
-        reason="batched frontier amortises discovery",
+        reason="adjacency decides candidacy exactly",
         details=details,
     )
 
@@ -516,19 +519,6 @@ def plan_stream_flush(
         reason="maintained forest is near-free per flush",
         details=details,
     )
-
-
-def fused_join_group_gain(left: PointStats, right: PointStats, eps: float) -> float:
-    """Estimated seconds saved by fusing an eps-join into a downstream SGB.
-
-    The materialized pipeline pays to emit every join pair as a row and
-    re-ingest it; the fused pipeline streams pair endpoints straight into
-    the grouper.  The saving is therefore proportional to the join's output
-    cardinality — the planner fuses whenever the estimate is positive, and
-    ``EXPLAIN`` surfaces the number.
-    """
-    est_pairs = left.estimated_join_pairs(right, eps)
-    return PROFILE.c_ship * 2.0 * est_pairs + PROFILE.c_point * est_pairs
 
 
 def filter_placement_gain(

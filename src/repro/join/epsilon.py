@@ -12,7 +12,7 @@ supported metrics.
 Results are returned in canonical order (lexicographically ascending
 ``(left_index, right_index)``), which is exactly the order a brute-force
 nested loop produces; :func:`eps_join_allpairs` is that nested loop, kept as
-the measurement baseline for the ``join_vs_allpairs`` benchmark (blocked and
+the measurement baseline of ``benchmarks/test_join_scaling.py`` (blocked and
 vectorised under NumPy, but with no grid pruning).
 """
 

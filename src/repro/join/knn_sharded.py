@@ -10,8 +10,7 @@ window probes concentrated in one region of the shared R-tree; degenerate
 inputs the partitioner refuses fall back to contiguous index chunks.
 
 The right side's bulk-loaded R-tree reaches the workers one of two ways,
-both exposed because the trade-off is workload-dependent (the ``knn_parallel``
-experiment stage measures both):
+both exposed because the trade-off is workload-dependent:
 
 * ``ship_index=False`` (default) — each worker rebuilds the STR-packed
   R-tree from the shipped right coordinates.  The build is O(n log n) work

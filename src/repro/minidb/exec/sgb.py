@@ -559,7 +559,8 @@ class SGBAggregate(PhysicalOperator):
             return None
         stats = trace_point_stats(self.child, self.key_exprs, len(self.key_exprs))
         if self.kind == "all":
-            return plan_sgb_all(stats, self.eps)
+            eligible = self._make_grouper().frontier_eligible(len(self.key_exprs))
+            return plan_sgb_all(stats, self.eps, eligible)
         if self._any_strategy() is SGBAnyStrategy.ALL_PAIRS:
             return None
         return plan_sgb_any(stats, self.eps)

@@ -6,9 +6,7 @@ ablate — an unpinned figure runner would silently measure the bypass
 instead of the strategies and flatten the curves (the Table 1 exponent
 ordering is the canary).  These tests wrap the operator entry points inside
 ``repro.bench.experiments`` and assert every figure/table call goes through
-``batch=False``; ``batch_vs_scalar``'s batch arm must likewise pin
-``workers=1`` so an ``SGB_WORKERS`` environment default cannot reroute the
-in-process batch measurement through the worker pool.
+``batch=False``.
 """
 
 import pytest
@@ -68,14 +66,6 @@ class TestFigurePins:
         E.table1_scaling_exponents(sizes=(100, 200, 400))
         _assert_all_scalar(recorded)
 
-    def test_batch_vs_scalar_pins_workers(self, recorded):
-        E.batch_vs_scalar(sizes=(150,))
-        any_calls = [kwargs for name, kwargs in recorded if name == "sgb_any"]
-        assert any_calls
-        # Both arms pin workers=1: the experiment owns batch-vs-scalar, the
-        # engine comparison (parallel_vs_serial) owns the worker sweep.
-        assert all(kwargs.get("workers") == 1 for kwargs in any_calls)
-
 
 class TestPlannerBypass:
     """The figure/table runners must never consult the cost planner.
@@ -106,7 +96,6 @@ class TestPlannerBypass:
         E.fig9_sgb_all_epsilon(n=120, eps_values=(0.3,), strategies=("index",))
         E.fig10_sgb_any_scale(sizes=(120,), strategies=("index",))
         E.table1_scaling_exponents(sizes=(100, 200))
-        E.batch_vs_scalar(sizes=(150,))
         assert planner_spy == [], f"planner engaged by a pinned runner: {planner_spy}"
 
 

@@ -109,3 +109,56 @@ class TestFrontierParity:
         grouper = SGBAllGrouper(eps=0.5)
         grouper.add_batch([])
         assert grouper.finalize().groups == []
+
+
+class TestFrontierEligibility:
+    """``frontier_eligible`` is the one rule for the frontier path.
+
+    ``add_batch`` routes on it and the cost planner reports it, so the rule
+    itself is pinned here case by case.
+    """
+
+    @pytest.mark.parametrize(
+        "strategy,metric,dims,eligible",
+        [
+            ("all-pairs", "L1", 3, True),
+            ("all-pairs", "L2", 3, True),
+            ("index", "LINF", 3, True),
+            ("bounds-checking", "LINF", 2, True),
+            ("index", "L2", 2, True),
+            ("index", "L2", 3, False),
+            ("bounds-checking", "L2", 3, False),
+            ("index", "L1", 2, False),
+        ],
+    )
+    def test_rule(self, strategy, metric, dims, eligible):
+        from repro.core.sgb_all import SGBAllGrouper
+
+        grouper = SGBAllGrouper(eps=0.5, metric=metric, strategy=strategy)
+        assert grouper.frontier_eligible(dims) is eligible
+
+
+class TestPlanReport:
+    """``result.plan`` is set only on the default pipeline.
+
+    Pinned flags (``batch=False``, a non-default strategy or an explicit
+    index) leave the planner out, so a benchmark measures the path it named.
+    """
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"batch": False},
+            {"strategy": "all-pairs"},
+            {"strategy": "bounds-checking"},
+        ],
+        ids=["scalar", "all-pairs", "bounds-checking"],
+    )
+    def test_pinned_flags_skip_planner(self, kwargs):
+        result = sgb_all(_clustered(83, n=40), eps=0.5, cache=False, **kwargs)
+        assert result.plan is None
+
+    def test_default_pipeline_reports_a_plan(self):
+        result = sgb_all(_clustered(83, n=40), eps=0.5, cache=False)
+        assert result.plan is not None
+        assert result.plan.op == "sgb_all"

@@ -2,8 +2,8 @@
 
 Pins the cost planner's mode choice for the canonical scenarios: tiny
 batches stay serial, large uniform batches shard one slab per worker,
-skewed batches over-decompose (fan-out > workers), SGB-All never shards,
-and join→SGB pipelines report a positive fusion gain.  All scenarios pin
+skewed batches over-decompose (fan-out > workers), and SGB-All never
+shards and reports the path its grouper takes.  All scenarios pin
 ``cpu_count`` so they are machine-independent (the unit costs are a
 constant).
 """
@@ -20,7 +20,6 @@ from repro.core.pointset import PointSet
 from repro.engine.cost import (
     ENV_WORKERS,
     forced_plan,
-    fused_join_group_gain,
     plan_eps_join,
     plan_knn_join,
     plan_sgb_all,
@@ -114,13 +113,16 @@ class TestSGBAnyDecisions:
 class TestSGBAllDecisions:
     def test_never_sharded(self):
         for count in (10, 1000, 500_000):
-            plan = plan_sgb_all(synthetic_stats(count), 0.004, cpu_count=16)
-            assert plan.workers == 1 and plan.shards == 1
-            assert plan.mode in ("scalar", "frontier")
+            for eligible in (False, True):
+                plan = plan_sgb_all(synthetic_stats(count), 0.004, eligible, cpu_count=16)
+                assert plan.workers == 1 and plan.shards == 1
+                assert plan.mode in ("scalar", "frontier")
 
     def test_tiny_scalar_large_frontier(self):
-        assert plan_sgb_all(synthetic_stats(8), 0.1).mode == "scalar"
-        assert plan_sgb_all(synthetic_stats(10_000), 0.1).mode == "frontier"
+        # The mode follows the grouper's frontier eligibility at every size.
+        for count in (8, 10_000):
+            assert plan_sgb_all(synthetic_stats(count), 0.1, False).mode == "scalar"
+            assert plan_sgb_all(synthetic_stats(count), 0.1, True).mode == "frontier"
 
 
 class TestJoinDecisions:
@@ -172,17 +174,6 @@ class TestJoinDecisions:
         overlapping = plan_eps_join(near, near, 0.05, cpu_count=1)
         disjoint = plan_eps_join(near, far, 0.05, cpu_count=1)
         assert overlapping.est_rows > disjoint.est_rows == 0
-
-    def test_fused_gain_positive_iff_join_produces_pairs(self):
-        rng = random.Random(1)
-        stats = collect_stats(
-            PointSet.from_any([(rng.random(), rng.random()) for _ in range(500)])
-        )
-        far = collect_stats(
-            PointSet.from_any([(rng.random() + 90.0, 0.0) for _ in range(500)])
-        )
-        assert fused_join_group_gain(stats, stats, 0.1) > 0.0
-        assert fused_join_group_gain(stats, far, 0.1) == 0.0
 
 
 class TestStreamDecisions:

@@ -100,7 +100,7 @@ class TestSGBAllEquivalence:
         baseline = sgb_all(pts, eps=0.2, on_overlap="eliminate")
 
         for mode in ("scalar", "frontier"):
-            def force(stats, eps, cpu_count=None, _mode=mode):
+            def force(stats, eps, frontier_eligible, cpu_count=None, _mode=mode):
                 return PhysicalPlan(op="sgb_all", mode=_mode, reason="forced")
 
             monkeypatch.setattr(cost_mod, "plan_sgb_all", force)

@@ -8,6 +8,7 @@ estimates), with mode, worker/shard fan-out, and estimated cost.
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 
@@ -128,6 +129,68 @@ class TestExplainStatement:
             "GROUP BY x, y DISTANCE-TO-ANY L2 WITHIN 0.05"
         )
         assert db.explain(sql) == db.explain("EXPLAIN " + sql)
+
+
+class TestSGBAllModeMatchesExecution:
+    """EXPLAIN's and ``result.plan``'s SGB-All mode name the path that ran.
+
+    The frontier path is :meth:`SGBAllGrouper._process_point_frontier`; the
+    per-point (``scalar``) loop never calls it.
+    """
+
+    CASES = [
+        # (rows, dims, metric, mode add_batch takes)
+        (10, 2, "L2", "frontier"),
+        (100, 2, "L2", "frontier"),
+        (100, 3, "L2", "scalar"),
+        (100, 3, "LINF", "frontier"),
+    ]
+
+    @pytest.fixture()
+    def frontier_calls(self, monkeypatch):
+        from repro.core.sgb_all import SGBAllGrouper
+
+        calls = []
+        real = SGBAllGrouper._process_point_frontier
+
+        def spy(self, *args, **kwargs):
+            calls.append(args[0])
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(SGBAllGrouper, "_process_point_frontier", spy)
+        return calls
+
+    @staticmethod
+    def _points(rows, dims):
+        rng = random.Random(rows * 10 + dims)
+        return [tuple(rng.random() for _ in range(dims)) for _ in range(rows)]
+
+    @pytest.mark.parametrize("rows,dims,metric,expected", CASES)
+    def test_explain_mode_is_the_path_run(self, frontier_calls, rows, dims, metric, expected):
+        cols = ["x", "y", "z"][:dims]
+        database = Database()
+        database.create_table("t", [(c, "FLOAT") for c in cols])
+        database.insert_rows("t", self._points(rows, dims))
+        sql = (
+            f"SELECT COUNT(*) AS n FROM t GROUP BY {', '.join(cols)} "
+            f"DISTANCE-TO-ALL {metric} WITHIN 0.2"
+        )
+        [mode] = re.findall(r"sgb_all: mode=(\w+)", _plan_text(database, "EXPLAIN " + sql))
+        database.execute(sql)
+        ran = "frontier" if frontier_calls else "scalar"
+        assert len(frontier_calls) in (0, rows)
+        assert (mode, ran) == (expected, expected)
+
+    @pytest.mark.parametrize("rows,dims,metric,expected", CASES)
+    def test_result_plan_mode_is_the_path_run(
+        self, frontier_calls, rows, dims, metric, expected
+    ):
+        from repro.core.api import sgb_all
+
+        result = sgb_all(self._points(rows, dims), eps=0.2, metric=metric, cache=False)
+        ran = "frontier" if frontier_calls else "scalar"
+        assert len(frontier_calls) in (0, rows)
+        assert (result.plan.mode, ran) == (expected, expected)
 
 
 class TestQueryResultPlan:
