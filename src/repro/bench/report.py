@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, List, Optional, Sequence
 
-__all__ = ["format_table", "format_series", "speedup", "write_json"]
+__all__ = ["format_table", "format_series", "write_json"]
 
 
 def format_table(rows: Sequence[Dict[str, Any]], columns: Optional[Sequence[str]] = None) -> str:
@@ -51,28 +51,6 @@ def format_series(
             entry[sv] = match[0][y] if match else ""
         table.append(entry)
     return format_table(table, columns=[x] + series_values)
-
-
-def speedup(rows: Sequence[Dict[str, Any]], baseline_label: str, key: str = "strategy") -> List[Dict[str, Any]]:
-    """Attach a ``speedup`` column relative to the row with ``key == baseline_label``.
-
-    Rows are matched on every column except ``key``, ``seconds`` and
-    ``speedup`` (i.e. the sweep parameters).
-    """
-    def signature(row: Dict[str, Any]) -> tuple:
-        return tuple(
-            (k, v) for k, v in sorted(row.items()) if k not in (key, "seconds", "speedup", "label")
-        )
-
-    baselines = {signature(r): r["seconds"] for r in rows if str(r[key]) == baseline_label}
-    out: List[Dict[str, Any]] = []
-    for row in rows:
-        base = baselines.get(signature(row))
-        new_row = dict(row)
-        if base and row["seconds"] > 0:
-            new_row["speedup"] = round(base / row["seconds"], 2)
-        out.append(new_row)
-    return out
 
 
 def write_json(rows: "Sequence[Dict[str, Any]] | Dict[str, Any]", path: str) -> str:

@@ -40,7 +40,10 @@ __all__ = [
     "minkowski",
     "distances_many",
     "pairwise_measures",
+    "paired_measures",
     "within_eps",
+    "paired_within",
+    "eps_threshold",
     "get_distance_function",
     "resolve_metric",
 ]
@@ -204,16 +207,53 @@ def pairwise_measures(probe: "object", block: "object", metric: Metric) -> "obje
     raise InvalidParameterError(f"unsupported metric for bulk evaluation: {metric}")
 
 
-def within_eps(probe: "object", block: "object", metric: Metric, eps: float) -> "object":
-    """NumPy kernel: ``(a, b)`` boolean mask of pairs within ``eps``.
+def paired_measures(left: "object", right: "object", metric: Metric) -> "object":
+    """NumPy kernel: the measure of each row pair ``(left[k], right[k])``.
 
-    This is the single place that knows how :func:`pairwise_measures` maps to
-    the epsilon comparison (squared threshold for L2, plain for LINF/L1);
-    every vectorised predicate decision routes through it so the boundary
-    rule cannot drift between call sites.
+    The elementwise form of :func:`pairwise_measures`: ``left`` and
+    ``right`` are ``(m, d)`` blocks and the result is ``(m,)``.  The terms
+    accumulate in the same order with the same operations, so each value is
+    bit-identical to the corresponding :func:`pairwise_measures` entry.
     """
-    measures = pairwise_measures(probe, block, metric)
-    return measures <= (eps * eps if metric is Metric.L2 else eps)
+    if metric is Metric.L2:
+        diff = left[:, 0] - right[:, 0]
+        acc = diff * diff
+        for k in range(1, left.shape[1]):
+            diff = left[:, k] - right[:, k]
+            acc += diff * diff
+        return acc
+    if metric is Metric.LINF:
+        acc = _np.abs(left[:, 0] - right[:, 0])
+        for k in range(1, left.shape[1]):
+            _np.maximum(acc, _np.abs(left[:, k] - right[:, k]), out=acc)
+        return acc
+    if metric is Metric.L1:
+        acc = _np.abs(left[:, 0] - right[:, 0])
+        for k in range(1, left.shape[1]):
+            acc += _np.abs(left[:, k] - right[:, k])
+        return acc
+    raise InvalidParameterError(f"unsupported metric for bulk evaluation: {metric}")
+
+
+def eps_threshold(metric: Metric, eps: float) -> float:
+    """The value a measure is compared against: ``eps**2`` for L2, else ``eps``.
+
+    This is the single place that knows how the measures map to the epsilon
+    comparison; every vectorised predicate decision goes through it (via
+    :func:`within_eps` / :func:`paired_within`), so the boundary rule cannot
+    drift between call sites.
+    """
+    return eps * eps if metric is Metric.L2 else eps
+
+
+def within_eps(probe: "object", block: "object", metric: Metric, eps: float) -> "object":
+    """NumPy kernel: ``(a, b)`` boolean mask of pairs within ``eps``."""
+    return pairwise_measures(probe, block, metric) <= eps_threshold(metric, eps)
+
+
+def paired_within(left: "object", right: "object", metric: Metric, eps: float) -> "object":
+    """NumPy kernel: ``(m,)`` mask, is ``left[k]`` within ``eps`` of ``right[k]``?"""
+    return paired_measures(left, right, metric) <= eps_threshold(metric, eps)
 
 
 def distances_many(

@@ -4,10 +4,19 @@ The SGB operators historically processed one ``Tuple[float, ...]`` at a time.
 A :class:`PointSet` holds a whole batch of d-dimensional points in columnar
 form and exposes batched primitives:
 
+* :meth:`PointSet.components` — the SGB-Any kernel: every row labelled with
+  the smallest row index of its eps-component.  The NumPy backend labels
+  whole eps-sub-cells at once (:func:`repro.core.cellgrid.subcell_labels`);
+  the pure-Python backend, and NumPy where that kernel does not apply (high
+  dimensionality, extreme coordinates), label from the
+  :meth:`pairwise_within` edges.
 * :meth:`PointSet.pairwise_within` — every index pair within ``eps`` under a
   metric (the epsilon-neighbourhood edges), found with a uniform eps-grid so
-  neither backend ever materialises the full O(n^2) distance matrix.  This
-  is the kernel behind the SGB-Any batch path.
+  neither backend ever materialises the full O(n^2) distance matrix.  SGB-All
+  reads its adjacency from it.
+* :meth:`PointSet.cross_within` — every within-eps pair between two sets;
+  on NumPy one array-producing core (:meth:`NumpyPointSet.cross_pairs`)
+  serves it, the eps-join and the stream's cross-epoch edges.
 * :meth:`PointSet.window_mask` — boolean membership mask for a window query.
 * :meth:`PointSet.verify_within` — bulk exact-distance verification of index
   window hits against a probe point (the ``VerifyPoints`` step of Procedure
@@ -32,6 +41,7 @@ from __future__ import annotations
 import math
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
+from repro.core import cellgrid
 from repro.core.distance import Metric, resolve_metric, within_eps
 from repro.core.predicates import SimilarityPredicate
 from repro.core.rectangle import Rect
@@ -78,8 +88,9 @@ def is_empty_batch(points: object) -> bool:
 
 HAVE_NUMPY = _np is not None
 
-#: Row-block size bounding the memory of the vectorised pair search
-#: (``_BLOCK * bucket_size`` distances at a time).
+#: Row-block size of the blocked brute-force pair searches (``_BLOCK * n``
+#: distances at a time); the eps-grid sweeps block by pairs instead
+#: (:data:`repro.core.cellgrid.PAIR_BLOCK`).
 _BLOCK = 512
 
 #: Above this dimensionality ``pairwise_within`` switches from the eps-grid
@@ -87,6 +98,27 @@ _BLOCK = 512
 #: per cell, which explodes combinatorially while the cells stop pruning
 #: anything (curse of dimensionality).
 _PAIRWISE_GRID_MAX_DIMS = 6
+
+
+def _labels_from_edges(n: int, edges: Iterable[Tuple[int, int]]) -> List[int]:
+    """Smallest-row labels of the components of ``n`` rows joined by ``edges``.
+
+    A list-backed disjoint-set forest whose union keeps the smaller root, so
+    every root is the smallest row of its component.
+    """
+    parent = list(range(n))
+    for i, j in edges:
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]
+        while parent[j] != j:
+            parent[j] = j = parent[parent[j]]
+        if i < j:
+            parent[j] = i
+        elif j < i:
+            parent[i] = j
+    for i in range(n):
+        parent[i] = parent[parent[i]]
+    return parent
 
 
 def _validate_tuples(points: Iterable[Sequence[float]]) -> List[Point]:
@@ -278,6 +310,16 @@ class PointSet:
     ) -> Iterator[Tuple[int, int]]:  # pragma: no cover - overridden
         raise NotImplementedError
 
+    def components(self, eps: float, metric: "Metric | str" = Metric.L2) -> List[int]:
+        """Label every row with the smallest row index in its eps-component.
+
+        The components are those of the graph linking every pair within
+        ``eps`` under the float predicate (``within_eps``), i.e. the SGB-Any
+        groups: rows ``i`` and ``j`` are grouped iff ``labels[i] ==
+        labels[j]``, and ``labels[labels[i]] == labels[i]``.
+        """
+        return _labels_from_edges(len(self), self.pairwise_within(eps, metric))
+
     def cross_within(
         self,
         other: "PointSet | Sequence[Sequence[float]]",
@@ -384,10 +426,11 @@ class PythonPointSet(PointSet):
                     if predicate.similar(pi, pts[j]):
                         yield i, j
             return
+        side = cellgrid.eps_grid_side(eps, max(abs(c) for p in pts for c in p))
         buckets: Dict[Tuple[int, ...], List[int]] = {}
         for i, p in enumerate(pts):
-            buckets.setdefault(tuple(math.floor(c / eps) for c in p), []).append(i)
-        offsets = _half_space_offsets(d)
+            buckets.setdefault(tuple(math.floor(c / side) for c in p), []).append(i)
+        offsets = cellgrid.half_space_offsets(d)
         for key, members in buckets.items():
             # Same-cell pairs.
             for a in range(len(members)):
@@ -432,12 +475,15 @@ class PythonPointSet(PointSet):
                     if predicate.similar(pi, pj):
                         yield i, j
             return
+        side = cellgrid.eps_grid_side(
+            eps, max(abs(c) for block in (pts, probes) for p in block for c in p)
+        )
         buckets: Dict[Tuple[int, ...], List[int]] = {}
         for i, p in enumerate(pts):
-            buckets.setdefault(tuple(math.floor(c / eps) for c in p), []).append(i)
-        offsets = _neighbourhood_offsets(d)
+            buckets.setdefault(tuple(math.floor(c / side) for c in p), []).append(i)
+        offsets = cellgrid.moore_offsets(d)
         for j, pj in enumerate(probes):
-            key = tuple(math.floor(c / eps) for c in pj)
+            key = tuple(math.floor(c / side) for c in pj)
             for off in offsets:
                 members = buckets.get(tuple(k + o for k, o in zip(key, off)))
                 if not members:
@@ -533,32 +579,28 @@ class NumpyPointSet(PointSet):
         n = arr.shape[0]
         if n < 2:
             return
-        if arr.shape[1] > _PAIRWISE_GRID_MAX_DIMS:
-            # Blocked brute force: rows [start, start+block) against every
-            # later row; still vectorised, no 3^d offset enumeration.
-            for start in range(0, n - 1, _BLOCK):
-                sub = _np.arange(start, min(start + _BLOCK, n))
-                mask = within_eps(arr[sub], arr, metric, eps)
-                gi, gj = _np.nonzero(mask)
-                gi = sub[gi]
-                keep = gi < gj
-                for i, j in zip(gi[keep].tolist(), gj[keep].tolist()):
-                    yield i, j
-            return
-        cells = _np.floor(arr / eps).astype(_np.int64)
-        uniq, inverse = _np.unique(cells, axis=0, return_inverse=True)
-        inverse = inverse.ravel()
-        order = _np.argsort(inverse, kind="stable")
-        counts = _np.bincount(inverse, minlength=uniq.shape[0])
-        splits = _np.split(order, _np.cumsum(counts)[:-1])
-        bucket_of = {tuple(c): idx for c, idx in zip(uniq.tolist(), splits)}
-        offsets = _half_space_offsets(arr.shape[1])
-        for key, members in bucket_of.items():
-            yield from self._cell_pairs(members, members, eps, metric, same=True)
-            for off in offsets:
-                other = bucket_of.get(tuple(k + o for k, o in zip(key, off)))
-                if other is not None:
-                    yield from self._cell_pairs(members, other, eps, metric, same=False)
+        if arr.shape[1] <= _PAIRWISE_GRID_MAX_DIMS:
+            pairs = cellgrid.self_pairs(arr, eps, metric)
+            if pairs is not None:
+                yield from zip(pairs[0].tolist(), pairs[1].tolist())
+                return
+        # Blocked brute force: rows [start, start+block) against every later
+        # row; still vectorised, no 3^d offset enumeration.
+        for start in range(0, n - 1, _BLOCK):
+            sub = _np.arange(start, min(start + _BLOCK, n))
+            mask = within_eps(arr[sub], arr, metric, eps)
+            gi, gj = _np.nonzero(mask)
+            gi = sub[gi]
+            keep = gi < gj
+            for i, j in zip(gi[keep].tolist(), gj[keep].tolist()):
+                yield i, j
+    def components(self, eps: float, metric: "Metric | str" = Metric.L2) -> List[int]:
+        eps = self._check_eps(eps)
+        metric = resolve_metric(metric)
+        labels = cellgrid.subcell_labels(self._array, eps, metric)
+        if labels is None:
+            return super().components(eps, metric)
+        return labels.tolist()
 
     def cross_within(
         self,
@@ -566,6 +608,23 @@ class NumpyPointSet(PointSet):
         eps: float,
         metric: "Metric | str" = Metric.L2,
     ) -> Iterator[Tuple[int, int]]:
+        rows, probes = self.cross_pairs(other, eps, metric)
+        yield from zip(rows.tolist(), probes.tolist())
+
+    def cross_pairs(
+        self,
+        other: "PointSet | Sequence[Sequence[float]]",
+        eps: float,
+        metric: "Metric | str" = Metric.L2,
+    ) -> "Tuple[Any, Any]":
+        """:meth:`cross_within` as two int64 arrays ``(rows, probes)``, unordered.
+
+        The one array-producing core behind ``cross_within``, the eps-join
+        and the stream's cross-epoch edges: the eps-grid sweep of
+        :func:`repro.core.cellgrid.cross_pairs`, or blocked brute force past
+        :data:`_PAIRWISE_GRID_MAX_DIMS` dimensions and where the grid's cell
+        arithmetic would lose precision.
+        """
         eps = self._check_eps(eps)
         metric = resolve_metric(metric)
         probes_ps = PointSet.from_any(other, backend="numpy")
@@ -573,108 +632,21 @@ class NumpyPointSet(PointSet):
         arr = self._array
         parr = probes_ps._array
         if arr.shape[0] == 0 or parr.shape[0] == 0:
-            return
+            empty = _np.empty(0, dtype=_np.int64)
+            return empty, empty
         if arr.shape[1] != parr.shape[1]:
             raise DimensionalityError(
                 f"cross_within dimensionality mismatch: {arr.shape[1]} vs "
                 f"{parr.shape[1]}"
             )
-        if arr.shape[1] > _PAIRWISE_GRID_MAX_DIMS:
-            # Blocked brute force over the probe rows.
-            for start in range(0, parr.shape[0], _BLOCK):
-                block = parr[start : start + _BLOCK]
-                mask = within_eps(block, arr, metric, eps)
-                pj, si = _np.nonzero(mask)
-                for i, j in zip(si.tolist(), (pj + start).tolist()):
-                    yield i, j
-            return
-        # Bucket this set on the eps-grid, group the probes by their cell, and
-        # verify each probe cell against the 3^d neighbouring buckets.
-        cells = _np.floor(arr / eps).astype(_np.int64)
-        uniq, inverse = _np.unique(cells, axis=0, return_inverse=True)
-        inverse = inverse.ravel()
-        order = _np.argsort(inverse, kind="stable")
-        counts = _np.bincount(inverse, minlength=uniq.shape[0])
-        splits = _np.split(order, _np.cumsum(counts)[:-1])
-        bucket_of = {tuple(c): idx for c, idx in zip(uniq.tolist(), splits)}
-        pcells = _np.floor(parr / eps).astype(_np.int64)
-        puniq, pinverse = _np.unique(pcells, axis=0, return_inverse=True)
-        pinverse = pinverse.ravel()
-        porder = _np.argsort(pinverse, kind="stable")
-        pcounts = _np.bincount(pinverse, minlength=puniq.shape[0])
-        psplits = _np.split(porder, _np.cumsum(pcounts)[:-1])
-        offsets = _neighbourhood_offsets(arr.shape[1])
-        for key, probe_idx in zip(puniq.tolist(), psplits):
-            # One verification call per probe cell: concatenate the Moore
-            # neighbourhood's buckets instead of checking them one by one.
-            neighbours = [
-                bucket
-                for off in offsets
-                if (bucket := bucket_of.get(tuple(k + o for k, o in zip(key, off))))
-                is not None
-            ]
-            if not neighbours:
-                continue
-            members = (
-                neighbours[0] if len(neighbours) == 1 else _np.concatenate(neighbours)
-            )
-            candidates = arr[members]
-            for start in range(0, probe_idx.shape[0], _BLOCK):
-                sub = probe_idx[start : start + _BLOCK]
-                mask = within_eps(parr[sub], candidates, metric, eps)
-                pj, si = _np.nonzero(mask)
-                gi = members[si]
-                gj = sub[pj]
-                for i, j in zip(gi.tolist(), gj.tolist()):
-                    yield i, j
-
-    def _cell_pairs(self, a_idx, b_idx, eps: float, metric: Metric, same: bool):
-        """Yield the within-eps (i, j) pairs between two index buckets, blocked."""
-        arr = self._array
-        pb = arr[b_idx]
-        for start in range(0, a_idx.shape[0], _BLOCK):
-            sub = a_idx[start : start + _BLOCK]
-            mask = within_eps(arr[sub], pb, metric, eps)
-            ai, bi = _np.nonzero(mask)
-            gi = sub[ai]
-            gj = b_idx[bi]
-            if same:
-                keep = gi < gj
-                gi = gi[keep]
-                gj = gj[keep]
-            for i, j in zip(gi.tolist(), gj.tolist()):
-                yield i, j
-
-
-def _neighbourhood_offsets(d: int) -> List[Tuple[int, ...]]:
-    """All cell offsets in {-1,0,1}^d, origin included.
-
-    ``cross_within`` joins two *distinct* point sets, so there is no pair
-    symmetry to exploit: every probe cell must look at its full Moore
-    neighbourhood in the other set's grid.
-    """
-    out: List[Tuple[int, ...]] = [()]
-    for _ in range(d):
-        out = [prefix + (o,) for prefix in out for o in (-1, 0, 1)]
-    return out
-
-
-def _half_space_offsets(d: int) -> List[Tuple[int, ...]]:
-    """Neighbour-cell offsets in {-1,0,1}^d that are lexicographically positive.
-
-    Visiting only the positive half-space means every unordered cell pair is
-    scanned exactly once (the origin offset, handled separately, covers
-    same-cell pairs).
-    """
-    out: List[Tuple[int, ...]] = []
-
-    def recurse(prefix: Tuple[int, ...]) -> None:
-        if len(prefix) == d:
-            if any(prefix) and prefix > (0,) * d:
-                out.append(prefix)
-            return
-        for o in (-1, 0, 1):
-            recurse(prefix + (o,))
-
-    recurse(())
-    return out
+        if arr.shape[1] <= _PAIRWISE_GRID_MAX_DIMS:
+            pairs = cellgrid.cross_pairs(arr, parr, eps, metric)
+            if pairs is not None:
+                return pairs
+        rows, probes = [], []
+        for start in range(0, parr.shape[0], _BLOCK):
+            mask = within_eps(parr[start : start + _BLOCK], arr, metric, eps)
+            pj, si = _np.nonzero(mask)
+            rows.append(si)
+            probes.append(pj + start)
+        return _np.concatenate(rows), _np.concatenate(probes)

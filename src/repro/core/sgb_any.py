@@ -13,8 +13,9 @@ Two strategies are provided, matching the paper's evaluation:
   forest (Procedure 9 / ``MergeGroupsInsert``) tracks existing, new, and
   merged groups; O(n log n) on average.
 
-For the L2 metric the window query is refined with an exact distance check
-(the ``VerifyPoints`` step of Procedure 8).
+Every window hit is refined with the exact predicate (the ``VerifyPoints``
+step of Procedure 8); in floating point that holds for LINF as well, whose
+box window is exact only in the reals.
 """
 
 from __future__ import annotations
@@ -144,21 +145,23 @@ class SGBAnyGrouper:
 
         Semantically identical to calling :meth:`add` on every point in
         order — the epsilon-neighbourhood graph, and therefore the final
-        connected components, are the same — but the work is done in bulk:
-        the batch is normalised once into a :class:`PointSet`, batch-internal
-        edges come from :meth:`PointSet.pairwise_within` (an eps-grid sweep),
-        window hits against previously added points are verified in bulk,
-        and the edges are applied with one batched Union-Find merge.  The
-        point index is not updated eagerly; the unindexed tail is flushed
-        (STR bulk-loaded, or incrementally inserted once the index exists)
-        on the next probe that needs it.
+        connected components, are the same — but the work is done in bulk.
+        The batch is normalised once into a :class:`PointSet`, whose
+        :meth:`~PointSet.components` labels every point with the smallest
+        batch position of its batch-internal component; the labels are
+        loaded into the forest with one parent write per point
+        (:meth:`UnionFind.add_forest`), so no edge list is built and no
+        per-edge union runs.  Window hits against previously added points
+        are verified in bulk and applied as one union per (batch component,
+        prior point).  The point index is not updated eagerly; the
+        unindexed tail is flushed (STR bulk-loaded, or incrementally
+        inserted once the index exists) on the next probe that needs it.
 
         When the grouper was built with an explicit ``index_factory`` under
         the ``INDEX`` strategy, batch-internal edges are instead discovered
         through a bulk-loaded instance of that index (window query per point
         + exact verification) so index ablations measure their access method
-        at batch scale too; the edge set — and hence the grouping — is the
-        same either way.
+        at batch scale too; the grouping is the same either way.
         """
         if is_empty_batch(points):
             # Degenerate batch: a strict no-op — no PointSet normalisation,
@@ -171,34 +174,35 @@ class SGBAnyGrouper:
             return
         base = len(self._points)
         indices = range(base, base + n)
-        for index in indices:
-            if index in self._point_by_index:
-                raise InvalidParameterError(
-                    f"input row index {index} was already added to this grouper"
-                )
+        if not self._point_by_index.keys().isdisjoint(indices):
+            taken = min(set(indices) & self._point_by_index.keys())
+            raise InvalidParameterError(
+                f"input row index {taken} was already added to this grouper"
+            )
         tuples = ps.to_tuples()
-        self._uf.add_many(indices)
-        # Edges between the batch and the points processed before it.
+        if self._explicit_index and self.strategy is SGBAnyStrategy.INDEX:
+            # Ablations: batch-internal edges through the caller's index.
+            self._uf.add_many(indices)
+            self._uf.union_pairs(self._batch_edges_indexed(tuples, base))
+            roots: "Sequence[int]" = indices
+        else:
+            labels = ps.components(self.eps, self.predicate.metric)
+            roots = [base + label for label in labels]
+            self._uf.add_forest(dict(zip(indices, roots)))
+        # Edges between the batch and the points processed before it, one
+        # per (batch component, prior neighbour).
         if self._points:
             neighbour_lists = self._find_neighbours_many(tuples)
             self._uf.union_pairs(
-                (index, other)
-                for index, neighbours in zip(indices, neighbour_lists)
-                for other in neighbours
-            )
-        # Batch-internal epsilon edges: columnar grid sweep by default, or the
-        # caller's spatial index when one was explicitly chosen (ablations).
-        if self._explicit_index and self.strategy is SGBAnyStrategy.INDEX:
-            self._uf.union_pairs(self._batch_edges_indexed(tuples, base))
-        else:
-            self._uf.union_pairs(
-                (base + i, base + j)
-                for i, j in ps.pairwise_within(self.eps, self.predicate.metric)
+                {
+                    (root, other)
+                    for root, neighbours in zip(roots, neighbour_lists)
+                    for other in neighbours
+                }
             )
         self._points.extend(tuples)
         self._indices.extend(indices)
-        for index, pt in zip(indices, tuples):
-            self._point_by_index[index] = pt
+        self._point_by_index.update(zip(indices, tuples))
         # The new tail stays unindexed until a probe calls _ensure_point_index.
 
     def _batch_edges_indexed(
@@ -207,28 +211,22 @@ class SGBAnyGrouper:
         """Batch-internal eps-edges via a bulk-loaded throwaway index.
 
         Exactly the edge set ``pairwise_within`` yields: the window query is a
-        conservative filter and L2 hits are verified with the exact distance
-        (LINF windows are exact already).  Used when the caller explicitly
+        conservative filter (:meth:`_window`) and every hit is verified with
+        the predicate.  Used when the caller explicitly
         selected the access method, so the index-choice ablation exercises
         grid / kd-tree / R-tree on whole batches.
         """
         index = self._index_factory()
         index.load([Rect.from_point(pt) for pt in tuples], range(len(tuples)))
-        windows = [Rect.from_point(pt, self.eps) for pt in tuples]
-        linf = self.predicate.metric is Metric.LINF
+        windows = [self._window(pt) for pt in tuples]
         for i, hits in enumerate(index.search_many(windows)):
             later = [j for j in hits if j > i]
             if not later:
                 continue
-            if linf:
-                verified = later
-            else:
-                mask = self.predicate.similar_many(
-                    tuples[i], [tuples[j] for j in later]
-                )
-                verified = [j for j, ok in zip(later, mask) if ok]
-            for j in verified:
-                yield base + i, base + j
+            mask = self.predicate.similar_many(tuples[i], [tuples[j] for j in later])
+            for j, ok in zip(later, mask):
+                if ok:
+                    yield base + i, base + j
 
     def neighbours_many(
         self, points: "PointSet | Sequence[Sequence[float]]"
@@ -237,7 +235,7 @@ class SGBAnyGrouper:
 
         This is the batched FindCandidateGroups probe (Procedure 8) exposed
         publicly: probes are answered with the grouper's access method (window
-        query + exact verification for L2) *without* adding the probe points.
+        query + exact verification) *without* adding the probe points.
         External batch consumers use it to join incoming points against an
         already-grouped set through whatever index the grouper maintains
         (the columnar alternative is :meth:`PointSet.cross_within`, which the
@@ -281,12 +279,9 @@ class SGBAnyGrouper:
             ]
         self._ensure_point_index()
         assert self._point_index is not None
-        window = Rect.from_point(point, self.eps)
-        hits = self._point_index.search(window)
-        if self.predicate.metric is Metric.LINF:
-            return hits
-        # VerifyPoints: for L2 (and other metrics) the square window is only a
-        # conservative filter; confirm with the exact distance.
+        hits = self._point_index.search(self._window(point))
+        # VerifyPoints: the window is only a conservative filter (for LINF
+        # too, once coordinates are rounded); confirm with the predicate.
         verified: List[int] = []
         for idx in hits:
             other = self._point_by_index[idx]
@@ -310,10 +305,7 @@ class SGBAnyGrouper:
             return out
         self._ensure_point_index()
         assert self._point_index is not None
-        windows = [Rect.from_point(pt, self.eps) for pt in points]
-        hit_lists = self._point_index.search_many(windows)
-        if self.predicate.metric is Metric.LINF:
-            return hit_lists
+        hit_lists = self._point_index.search_many([self._window(pt) for pt in points])
         out = []
         for pt, hits in zip(points, hit_lists):
             if not hits:
@@ -323,6 +315,18 @@ class SGBAnyGrouper:
             mask = self.predicate.similar_many(pt, candidates)
             out.append([idx for idx, ok in zip(hits, mask) if ok])
         return out
+
+    def _window(self, point: Point) -> Rect:
+        """The window query of ``point``: its eps-box, widened past rounding.
+
+        ``fl(x + eps)`` can fall short of a point the predicate accepts, or
+        reach past one it rejects (``-999999.9 + 0.05`` rounds to
+        ``-999999.85``, yet the two are 0.0500000000466 apart).  The slack
+        covers the first; verifying every hit with the predicate settles the
+        second, so the probe finds exactly the predicate's neighbours.
+        """
+        slack = self.eps * 2.0 ** -48 + max(abs(c) for c in point) * 2.0 ** -50
+        return Rect.from_point(point, self.eps + slack)
 
     def _ensure_point_index(self) -> None:
         """Flush the unindexed tail left behind by ``add_batch`` calls.

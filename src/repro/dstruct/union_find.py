@@ -9,6 +9,7 @@ complexity analysis (Appendix .2) relies on for the O(n log n) bound.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Callable, Dict, Hashable, Iterable, Iterator, List, Mapping, Union
 
 from repro.exceptions import UnionFindError
@@ -93,12 +94,37 @@ class UnionFind:
         self._component_count += added
         return added
 
+    def add_forest(self, forest: Mapping[Hashable, Hashable]) -> None:
+        """Adopt a ready-made partition of new elements, one parent write each.
+
+        ``forest`` maps every element to its set's representative, and each
+        representative to itself: the flat shape :meth:`export_forest`
+        produces, and the one SGB-Any connectivity labels
+        (:meth:`repro.core.pointset.PointSet.components`) give.  No
+        ``union`` runs.  Every element must be new to this forest.
+        """
+        parent = self._parent
+        if not parent.keys().isdisjoint(forest):
+            raise UnionFindError("add_forest elements must not be tracked yet")
+        sizes = Counter(forest.values())
+        for root in sizes:
+            if forest.get(root) != root:
+                raise UnionFindError(f"representative {root!r} must map to itself")
+        parent.update(forest)
+        self._rank.update(dict.fromkeys(forest, 0))
+        self._size.update(dict.fromkeys(forest, 1))
+        for root, size in sizes.items():
+            if size > 1:
+                self._size[root] = size
+                self._rank[root] = 1
+        self._component_count += len(sizes)
+
     def union_pairs(self, pairs: Iterable[tuple[Hashable, Hashable]]) -> int:
         """Merge a batch of ``(a, b)`` edges; return the number of real merges.
 
-        This is the bulk MergeGroupsInsert step of the batched SGB-Any path:
-        the epsilon-neighbourhood edges of a whole point batch are applied in
-        one call instead of one :meth:`union` per edge.
+        The engine and the stream apply their few stitching edges (halo-band
+        and cross-epoch) with it; batch-internal connectivity arrives as a
+        whole through :meth:`add_forest`.
         """
         before = self._component_count
         union = self.union

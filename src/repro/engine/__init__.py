@@ -1,24 +1,28 @@
 """Sharded parallel execution engine for the SGB operators.
 
-The eps-grid that :meth:`repro.core.pointset.PointSet.pairwise_within` sweeps
-is a spatial decomposition in which only points in neighbouring cells can be
-within ``eps`` of each other.  That makes SGB-Any embarrassingly partitionable:
+An eps-grid is a spatial decomposition in which only points in neighbouring
+cells can be within ``eps`` of each other.  That makes SGB-Any
+embarrassingly partitionable:
 
 1. :mod:`repro.engine.partition` cuts the input into grid-aligned shards
    along its widest axis, plus one *halo band* (the points in the two
    eps-cells flanking each cut) per internal shard boundary;
 2. :mod:`repro.engine.workers` runs per-shard SGB-Any grouping — each worker
    is an ordinary :class:`~repro.core.sgb_any.SGBAnyGrouper` fed with
-   ``add_batch`` — through :func:`~repro.engine.workers.run_shards`, the one
+   ``add_batch``, so its labels come from the sub-cell connectivity kernel
+   :meth:`~repro.core.pointset.PointSet.components`, and each halo band is
+   labelled in process with the same kernel, contributing one spanning
+   edge per band point — through :func:`~repro.engine.workers.run_shards`, the one
    pool scaffold every sharded driver (SGB-Any, the SQL aggregate push-down,
    the eps- and kNN-joins) shares: shards go to a cached
    ``ProcessPoolExecutor`` while the halo stitching runs in process, a
    missing or broken pool sends the driver to its serial reference, a
    stitching error propagates, and only one-worker plans run the shards in
    process;
-3. :mod:`repro.engine.merge` relabels the shard-local Union-Find forests into
-   the global row-index space, merges them, and applies the halo-band edges,
-   yielding exactly the connected components the serial pass computes;
+3. :mod:`repro.engine.merge` lifts the shard-local Union-Find forests into
+   the global row-index space (one parent write per row), and applies the
+   halo-band spanning edges, yielding exactly the connected components the
+   serial pass computes;
 4. :mod:`repro.engine.cost` is the one planner: every entry point asks it
    for one :class:`~repro.engine.cost.PhysicalPlan` and runs the mode it
    names.  When the caller passes ``workers="auto"`` or no knob at all, the

@@ -340,12 +340,7 @@ def plan_sgb_any(
     )
 
 
-def plan_sgb_all(
-    stats: PointStats,
-    eps: float,
-    frontier_eligible: bool,
-    cpu_count: Optional[int] = None,
-) -> PhysicalPlan:
+def plan_sgb_all(stats: PointStats, eps: float, frontier_eligible: bool) -> PhysicalPlan:
     """Report the execution mode of one SGB-All batch.
 
     SGB-All's group semantics are order-dependent (overlap arbitration), so

@@ -2,9 +2,9 @@
 
 Each worker returns the exported forest of its shard-local grouper, keyed by
 shard-local point positions (``0..k``).  The merge relabels those elements
-into global input row indices through the shard's index list
-(:meth:`UnionFind.merge_from` with a ``translate``), then applies the
-halo-band eps-edges that stitch neighbouring shards together.  Canonical
+into global input row indices through the shard's index list and adopts
+them whole (:meth:`UnionFind.add_forest`), then applies the halo-band
+spanning edges that stitch neighbouring shards together.  Canonical
 relabelling afterwards makes the output independent of shard count and worker
 scheduling: groups are ordered by their smallest member and members ascend,
 exactly the order :meth:`SGBAnyGrouper.finalize` produces serially.
@@ -28,16 +28,19 @@ def merge_shard_forests(
 ) -> UnionFind:
     """Build the global forest from per-shard forests plus boundary edges.
 
-    ``forests[i]`` maps shard-local positions to shard-local roots;
+    ``forests[i]`` maps shard-local positions to shard-local roots (flat,
+    as :meth:`UnionFind.export_forest` ships them);
     ``shard_index_lists[i]`` lifts those positions into global row indices.
+    Shards hold disjoint rows, so each lifted forest is adopted with one
+    parent write per row (:meth:`UnionFind.add_forest`).
     ``boundary_edges`` are global-index eps-edges discovered in the halo
     bands.  Every row in ``range(n_points)`` ends up tracked, so rows whose
     shard put them in a singleton group survive the merge.
     """
     uf = UnionFind()
-    uf.add_many(range(n_points))
     for indices, forest in zip(shard_index_lists, forests):
-        uf.merge_from(forest, translate=indices.__getitem__)
+        uf.add_forest({indices[element]: indices[root] for element, root in forest.items()})
+    uf.add_many(range(n_points))
     uf.union_pairs(boundary_edges)
     return uf
 

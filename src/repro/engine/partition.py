@@ -1,15 +1,19 @@
 """Grid partitioner: cut a :class:`PointSet` into shards plus halo bands.
 
 The partitioner stripes the input along the axis with the widest bounding-box
-extent, with every cut placed on an eps-grid line (``cut = k * eps``).  Cut
+extent, with every cut placed on a grid line (``cut = k * side``, ``side``
+being eps widened past the float slack).  Cut
 positions are chosen from the cumulative per-cell histogram so the shards are
 balanced, subject to a minimum slab width of two eps-cells.
 
 Correctness argument (why shard-local grouping + halo edges is exact):
 
 * a pair of points within ``eps`` of each other differs by at most ``eps``
-  along *every* axis (true for both L2 and LINF), so along the partition
-  axis the two eps-cells ``floor(x / eps)`` of the pair differ by at most 1;
+  along *every* axis (true for every supported metric), so along the
+  partition axis the two cells ``floor(x / side)`` of the pair differ by at
+  most 1, with ``side`` eps widened past the float slack
+  (:func:`repro.core.cellgrid.eps_grid_side`; with ``side = eps`` exactly,
+  ``-1e-20`` and ``0.1`` at eps 0.1 would land two cells apart);
 * shards are at least two cells wide, so such a pair can straddle at most one
   cut, and the pair's cells are then exactly ``k - 1`` and ``k`` for a cut on
   grid line ``k`` — which is precisely the :class:`HaloBand` of that cut;
@@ -25,7 +29,9 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence
 
+from repro.core.cellgrid import eps_grid_side
 from repro.core.pointset import HAVE_NUMPY, NumpyPointSet, PointSet
+from repro.core.rectangle import Rect
 from repro.exceptions import InvalidParameterError
 
 try:  # optional; the pure-Python payload path covers its absence
@@ -67,9 +73,9 @@ class HaloBand:
     """The points flanking one internal cut (eps-cells ``k - 1`` and ``k``).
 
     Every eps-edge straddling the cut has both endpoints in this band, so
-    running ``pairwise_within`` over the band recovers all cross-shard edges
-    of that boundary (plus some intra-shard duplicates, which the Union-Find
-    merge absorbs for free).
+    the band's components (:meth:`PointSet.components`) carry every
+    cross-shard connection of that boundary (plus some intra-shard ones,
+    which the Union-Find merge absorbs for free).
     """
 
     cut_cell: int
@@ -83,6 +89,9 @@ class GridPartition:
 
     axis: int
     eps: float
+    #: Cell width along ``axis`` (:func:`axis_cells`), eps widened past the
+    #: float slack; cuts sit on multiples of it.
+    side: float
     cut_cells: List[int]
     shards: List[Shard]
     bands: List[HaloBand]
@@ -103,19 +112,19 @@ def take_payload(ps: PointSet, indices: Sequence[int]) -> Any:
     return [ps.point(i) for i in indices]
 
 
-def axis_cells(ps: PointSet, axis: int, eps: float) -> List[int]:
-    """The eps-grid cell of every point along ``axis`` (``floor(x / eps)``).
+def axis_cells(ps: PointSet, axis: int, side: float) -> List[int]:
+    """The grid cell of every point along ``axis`` (``floor(x / side)``).
 
     One vectorised pass on the NumPy backend; the similarity-join stitcher
-    reuses it instead of re-deriving cells point by point.
+    reuses it, with the partition's ``side``, instead of re-deriving cells
+    point by point.
     """
     if HAVE_NUMPY and isinstance(ps, NumpyPointSet):
-        return _np.floor(ps.array[:, axis] / eps).astype(_np.int64).tolist()
-    return [math.floor(ps.point(i)[axis] / eps) for i in range(len(ps))]
+        return _np.floor(ps.array[:, axis] / side).astype(_np.int64).tolist()
+    return [math.floor(ps.point(i)[axis] / side) for i in range(len(ps))]
 
 
-def _widest_axis(ps: PointSet) -> int:
-    bbox = ps.bbox()
+def _widest_axis(bbox: Rect) -> int:
     extents = [hi - lo for lo, hi in zip(bbox.low, bbox.high)]
     return max(range(len(extents)), key=extents.__getitem__)
 
@@ -164,13 +173,15 @@ def partition_pointset(
         raise InvalidParameterError(f"eps must be positive, got {eps}")
     if n_shards < 2 or len(ps) < 2:
         return None
+    bbox = ps.bbox()
     if axis is None:
-        axis = _widest_axis(ps)
+        axis = _widest_axis(bbox)
     elif not 0 <= axis < ps.dims:
         raise InvalidParameterError(
             f"partition axis {axis} out of range for {ps.dims}-d points"
         )
-    cells = axis_cells(ps, axis, eps)
+    side = eps_grid_side(eps, max(abs(bbox.low[axis]), abs(bbox.high[axis])))
+    cells = axis_cells(ps, axis, side)
     cuts = _choose_cuts(cells, n_shards)
     if not cuts:
         return None
@@ -193,4 +204,6 @@ def partition_pointset(
         HaloBand(cut_cell=cut, indices=indices, points=take_payload(ps, indices))
         for cut, indices in zip(cuts, band_indices)
     ]
-    return GridPartition(axis=axis, eps=eps, cut_cells=cuts, shards=shards, bands=bands)
+    return GridPartition(
+        axis=axis, eps=eps, side=side, cut_cells=cuts, shards=shards, bands=bands
+    )

@@ -190,14 +190,20 @@ def _group_shard(
 def _band_edges(
     partition: GridPartition, eps: float, metric: Metric
 ) -> Iterator[Tuple[int, int]]:
-    """Global-index eps-edges inside every halo band (computed in-process)."""
+    """Global-index spanning edges of every halo band (computed in-process).
+
+    Each band is labelled with :meth:`PointSet.components`, and every band
+    point not its component's smallest is linked to that point: one edge
+    per point instead of one per eps-pair, with the same connectivity.
+    """
     for band in partition.bands:
         if len(band.indices) < 2:
             continue
-        band_ps = PointSet.from_any(band.points)
+        labels = PointSet.from_any(band.points).components(eps, metric)
         indices = band.indices
-        for i, j in band_ps.pairwise_within(eps, metric):
-            yield indices[i], indices[j]
+        for position, label in enumerate(labels):
+            if label != position:
+                yield indices[position], indices[label]
 
 
 def _serial_grouping(ps: PointSet, eps: float, metric: Metric) -> GroupingResult:

@@ -3,11 +3,12 @@
 The eps-join is the cross-relation companion of the SGB-Any edge discovery:
 where the grouper links points of *one* relation that lie within ``eps`` of
 each other, :func:`eps_join` pairs the tuples of *two* relations.  The kernel
-is :meth:`PointSet.cross_within` — the same uniform eps-grid sweep (blocked
-brute force past the grid's dimensionality ceiling) and the same ``within_eps``
-predicate kernel behind every other eps decision in the library — so the pair
-set agrees bit-for-bit with the scalar predicate on both backends and all
-supported metrics.
+is :meth:`PointSet.cross_within` (on NumPy its array core,
+:meth:`NumpyPointSet.cross_pairs`) — the same uniform eps-grid sweep
+(blocked brute force past the grid's dimensionality ceiling) and the same
+``within_eps`` predicate kernel behind every other eps decision in the
+library — so the pair set agrees bit-for-bit with the scalar predicate on
+both backends and all supported metrics.
 
 Results are returned in canonical order (lexicographically ascending
 ``(left_index, right_index)``), which is exactly the order a brute-force
@@ -118,12 +119,23 @@ def eps_join(
     elif plan.mode == "allpairs":
         pairs = eps_join_allpairs(left_ps, right_ps, eps, metric=metric)
     else:
-        pairs = sorted(left_ps.cross_within(right_ps, eps, metric))
+        pairs = _grid_pairs(left_ps, right_ps, eps, metric)
     if not delegated:
         return pairs
     result = JoinResult(pairs)
     result.plan = plan
     return result
+
+
+def _grid_pairs(
+    left_ps: PointSet, right_ps: PointSet, eps: float, metric: Metric
+) -> JoinPairs:
+    """The in-process eps-grid join, in canonical (lexicographic) order."""
+    if isinstance(left_ps, NumpyPointSet):
+        rows, cols = left_ps.cross_pairs(right_ps, eps, metric)
+        order = _np.lexsort((cols, rows))
+        return list(zip(rows[order].tolist(), cols[order].tolist()))
+    return sorted(left_ps.cross_within(right_ps, eps, metric))
 
 
 def eps_join_allpairs(

@@ -83,7 +83,7 @@ def _band_pairs(
     emitted twice.
     """
     n_left = len(left_ps)
-    cells = axis_cells(combined, partition.axis, eps)
+    cells = axis_cells(combined, partition.axis, partition.side)
     for band in partition.bands:
         left_idx, right_idx = _split_sides(band.indices, n_left)
         if not left_idx or not right_idx:

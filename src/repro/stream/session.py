@@ -10,11 +10,17 @@ Incremental execution (the default) never regroups the window from scratch:
 
 * Each live epoch owns a :class:`~repro.core.sgb_any.SGBAnyGrouper` that
   incrementally maintains the epoch-internal epsilon connectivity (and the
-  spatial index answering probes against the epoch).
+  spatial index answering probes against the epoch).  Its labels come from
+  the sub-cell connectivity kernel (:meth:`PointSet.components`) through
+  ``add_batch``; a micro-batch that opens an epoch lands in the window
+  forest with one parent write per point.
 * Eps-edges *between* epochs are discovered once, when a micro-batch
   arrives, by one grid-join of the batch against the combined older epochs
-  (:meth:`PointSet.cross_within`), and are retained per epoch pair reduced
-  to a spanning subset.
+  (:meth:`NumpyPointSet.cross_pairs` / :meth:`PointSet.cross_within`).
+  Each pair is mapped to its (older-epoch root, newer-epoch root) and
+  de-duplicated (one ``lexsort`` on NumPy), so one edge stands for all the
+  pairs between two epoch components; the edges are retained per epoch
+  pair, reduced to a spanning subset.
 * A global Union-Find forest over the live window accumulates both kinds of
   edges; a flush just reads its components.
 * Union-Find cannot delete, so when an epoch expires the forest is rebuilt
@@ -36,13 +42,12 @@ paths share), enforced by the randomized equivalence suite.
 from __future__ import annotations
 
 import sys
-from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Deque, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.distance import Metric, resolve_metric
-from repro.core.pointset import PointSet
+from repro.core.pointset import HAVE_NUMPY, NumpyPointSet, PointSet
 from repro.core.result import GroupingResult, canonicalize_groups
 from repro.core.sgb_any import SGBAnyGrouper
 from repro.dstruct.union_find import UnionFind
@@ -55,9 +60,18 @@ Point = Tuple[float, ...]
 
 __all__ = ["StreamingSGB", "WindowResult", "stream_groups"]
 
+try:  # optional; cross-epoch pairs are reduced in NumPy when it imports
+    import numpy as _np
+except ImportError:  # pragma: no cover - exercised via the python backend
+    _np = None
+
 #: Checkpoint payload tag; bump when the session's pickled layout changes so
 #: stale checkpoint files read as "start fresh" instead of mis-restoring.
-_CHECKPOINT_FORMAT = "streaming-sgb/2"
+_CHECKPOINT_FORMAT = "streaming-sgb/3"
+
+#: The layout before the older-epoch view cached per-row epoch roots; still
+#: readable (see :meth:`StreamingSGB.resume`).
+_CHECKPOINT_FORMAT_2 = "streaming-sgb/2"
 
 #: The layout before sessions kept their resolved flush worker count; still
 #: readable (see :meth:`StreamingSGB.resume`).
@@ -137,12 +151,13 @@ class _Epoch:
 class _CrossEdges:
     """Spanning cross-epoch edge state for one live ``(older, newer)`` pair.
 
-    ``edges`` holds only edges that connected something new *given the two
-    epochs' own forests and the pair's earlier edges* — the discarded ones are
-    redundant in every future rebuild too, because rebuilds only ever drop
-    whole epochs, so the intra-epoch paths that made an edge redundant
-    survive for as long as the pair does.  ``uf`` is the pair-scoped forest
-    used for that filtering; it dies with the pair.
+    Every edge links two epoch-component roots, so it stands for all the
+    eps-pairs between those components.  ``edges`` holds only edges that
+    connected something new *given the pair's earlier edges* — the discarded
+    ones are redundant in every future rebuild too, because rebuilds only
+    ever drop whole epochs, so the paths that made an edge redundant survive
+    for as long as the pair does.  ``uf`` is the pair-scoped forest over
+    those roots used for that filtering; it dies with the pair.
     """
 
     __slots__ = ("uf", "edges")
@@ -194,9 +209,9 @@ class StreamingSGB:
         #: Reduced eps-edges between live epoch pairs, ``(older_eid, newer_eid)``.
         self._cross: Dict[Tuple[int, int], _CrossEdges] = {}
         #: Cached columnar view of the closed (older) epochs, rebuilt when the
-        #: epoch set changes: (eids key, combined PointSet, cumulative epoch
-        #: boundaries, epoch list).
-        self._older_view: "Optional[Tuple[Tuple[int, ...], PointSet, List[int], List[_Epoch]]]" = None
+        #: epoch set changes: (eids key, combined PointSet, epoch root of each
+        #: row, epoch slot of each row, epoch list).
+        self._older_view: "Optional[Tuple[Any, ...]]" = None
         self._prev_global_groups: List[List[int]] = []
         self._next_index = 0
         self._window_id = 0
@@ -320,10 +335,14 @@ class StreamingSGB:
         if not isinstance(payload, dict):
             return None
         fmt, session = payload.get("format"), payload.get("session")
-        if fmt not in (_CHECKPOINT_FORMAT, _CHECKPOINT_FORMAT_1):
+        if fmt not in (_CHECKPOINT_FORMAT, _CHECKPOINT_FORMAT_2, _CHECKPOINT_FORMAT_1):
             return None
         if not isinstance(session, StreamingSGB):
             return None
+        if fmt != _CHECKPOINT_FORMAT:
+            # Formats 1 and 2 cached the older-epoch view in another shape;
+            # it is only a cache, so drop it and rebuild on demand.
+            session._older_view = None
         if fmt == _CHECKPOINT_FORMAT_1:
             # Format 1 kept no resolved count: resolve the raw setting per
             # flush, as that session did.  Flush results are the same.
@@ -457,91 +476,125 @@ class StreamingSGB:
         self._next_index += len(chunk)
         # The chunk is a slice of the batch ingest() already validated.
         chunk_ps = PointSet.adopt_validated(list(chunk), backend=self._backend)
-        if epoch.grouper is not None:
-            # Intra-epoch connectivity via the columnar add_batch fast path.
-            epoch.grouper.add_batch(chunk_ps)
+        if epoch.grouper is None:
             epoch.indices.extend(arrivals)
             epoch.points.extend(chunk)
-            self._uf.add_many(arrivals)
-            self._uf.merge_from(
-                epoch.grouper.forest(), translate=epoch.indices.__getitem__
-            )
-            # Cross-epoch eps-edges: one grid-join of the micro-batch against
-            # the combined view of every older (closed) epoch — the columnar
-            # cross-set kernel explores each probe's neighbourhood once for
-            # the whole window instead of once per epoch, with the same
-            # bit-exact eps decisions and no per-tuple index probing.  Edges
-            # are attributed back to their (older, newer) epoch pair and each
-            # pair's list is reduced to a spanning subset on the way in (see
-            # _reduce_cross_edges), so dense windows do not hoard the
-            # quadratic raw edge set.
-            view = self._older_epoch_view(epoch)
-            if view is not None:
-                combined, bounds, olders = view
-                per_pair: Dict[int, List[Tuple[int, int]]] = {}
-                for i, j in combined.cross_within(chunk_ps, self.eps, self.metric):
-                    slot = bisect_right(bounds, i)
-                    older = olders[slot]
-                    older_global = older.indices[i - (bounds[slot - 1] if slot else 0)]
-                    per_pair.setdefault(slot, []).append((older_global, arrivals[j]))
-                for slot, raw in sorted(per_pair.items()):
-                    kept = self._reduce_cross_edges(olders[slot], epoch, raw)
-                    if kept:
-                        self._uf.union_pairs(kept)
+            return
+        # Intra-epoch connectivity via the columnar add_batch fast path.
+        opened = not epoch.indices
+        epoch.grouper.add_batch(chunk_ps)
+        epoch.indices.extend(arrivals)
+        epoch.points.extend(chunk)
+        indices = epoch.indices
+        forest = epoch.grouper.forest()
+        if opened:
+            # The chunk opened the epoch: its whole forest is new to the
+            # window, so it is adopted with one parent write per point.
+            self._uf.add_forest({indices[e]: indices[r] for e, r in forest.items()})
         else:
-            epoch.indices.extend(arrivals)
-            epoch.points.extend(chunk)
+            self._uf.add_many(arrivals)
+            self._uf.merge_from(forest, translate=indices.__getitem__)
+        # Cross-epoch eps-edges: one grid-join of the micro-batch against the
+        # combined view of every older (closed) epoch, with the same bit-exact
+        # eps decisions and no per-tuple index probing.  Each pair is mapped
+        # to (older-epoch root, newer-epoch root), so one edge stands for
+        # every eps-pair between the same two epoch components, and each
+        # epoch pair's edges are reduced to a spanning subset on the way in
+        # (see _reduce_cross_edges).
+        view = self._older_epoch_view(epoch)
+        if view is None:
+            return
+        first = len(indices) - len(chunk)
+        new_roots = [indices[forest[local]] for local in range(first, len(indices))]
+        olders = view[3]
+        for slot, raw in sorted(self._cross_root_pairs(view, chunk_ps, new_roots).items()):
+            kept = self._reduce_cross_edges(olders[slot], epoch, raw)
+            if kept:
+                self._uf.union_pairs(kept)
+
+    def _cross_root_pairs(
+        self,
+        view: "Tuple[PointSet, Any, Any, List[_Epoch]]",
+        chunk_ps: PointSet,
+        new_roots: List[int],
+    ) -> Dict[int, List[Tuple[int, int]]]:
+        """Distinct ``(older root, newer root)`` cross edges per older-epoch slot."""
+        combined, roots, slots, _ = view
+        if isinstance(combined, NumpyPointSet):
+            rows, probes = combined.cross_pairs(chunk_ps, self.eps, self.metric)
+            older = roots[rows]
+            newer = _np.asarray(new_roots, dtype=_np.int64)[probes]
+            order = _np.lexsort((newer, older))
+            older, newer, rows = older[order], newer[order], rows[order]
+            first = _np.ones(order.shape[0], dtype=bool)
+            first[1:] = (older[1:] != older[:-1]) | (newer[1:] != newer[:-1])
+            out: Dict[int, List[Tuple[int, int]]] = {}
+            for slot, a, b in zip(
+                slots[rows[first]].tolist(), older[first].tolist(), newer[first].tolist()
+            ):
+                out.setdefault(slot, []).append((a, b))
+            return out
+        distinct: Dict[int, set] = {}
+        for i, j in combined.cross_within(chunk_ps, self.eps, self.metric):
+            distinct.setdefault(slots[i], set()).add((roots[i], new_roots[j]))
+        return {slot: sorted(pairs) for slot, pairs in distinct.items()}
 
     def _older_epoch_view(
         self, current: _Epoch
-    ) -> "Optional[Tuple[PointSet, List[int], List[_Epoch]]]":
+    ) -> "Optional[Tuple[PointSet, Any, Any, List[_Epoch]]]":
         """Combined columnar view of the closed epochs, cached per epoch set.
 
         Closed epochs never grow, so the concatenation only needs rebuilding
         when an epoch opens or expires; every micro-batch admitted to the
-        same open epoch reuses it.  Returns ``(points, cumulative epoch
-        boundaries, epochs)`` or ``None`` when the window holds no older
-        points.
+        same open epoch reuses it.  Returns ``(points, epoch root of each
+        row, epoch slot of each row, epochs)`` — root and slot as int64
+        arrays on the NumPy backend, lists otherwise — or ``None`` when the
+        window holds no older points.
         """
         olders = [e for e in self._epochs if e is not current and e.points]
         if not olders:
             return None
         key = tuple(e.eid for e in olders)
         if self._older_view is not None and self._older_view[0] == key:
-            _, combined, bounds, cached = self._older_view
-            return combined, bounds, cached
+            return self._older_view[1:]
         combined = PointSet.concat(
             [e.pointset(self._backend) for e in olders], backend=self._backend
         )
-        bounds: List[int] = []
-        total = 0
-        for e in olders:
-            total += len(e.points)
-            bounds.append(total)
-        self._older_view = (key, combined, bounds, olders)
-        return combined, bounds, olders
+        roots: Any = []
+        slots: Any = []
+        for slot, e in enumerate(olders):
+            assert e.grouper is not None
+            forest = e.grouper.forest()
+            roots.extend(e.indices[forest[local]] for local in range(len(e.indices)))
+            slots.extend([slot] * len(e.indices))
+        if HAVE_NUMPY and isinstance(combined, NumpyPointSet):
+            roots = _np.asarray(roots, dtype=_np.int64)
+            slots = _np.asarray(slots, dtype=_np.int64)
+        self._older_view = (key, combined, roots, slots, olders)
+        return combined, roots, slots, olders
 
     def _reduce_cross_edges(
         self, older: _Epoch, epoch: _Epoch, raw: List[Tuple[int, int]]
     ) -> List[Tuple[int, int]]:
-        """Keep only the cross edges that add connectivity for this pair."""
+        """Keep only the cross edges that add connectivity for this pair.
+
+        ``raw`` links epoch-component roots, so the pair-scoped forest only
+        tracks those roots: an edge is dropped when earlier kept edges of
+        the pair already connect its ends.  A newer-epoch root that a later
+        chunk demotes stays a valid member of its grown component, so what
+        is kept is never wrong, at worst redundant.
+        """
         key = (older.eid, epoch.eid)
         entry = self._cross.get(key)
         if entry is None:
-            entry = _CrossEdges()
-            assert older.grouper is not None
-            entry.uf.merge_from(
-                older.grouper.forest(), translate=older.indices.__getitem__
-            )
-            self._cross[key] = entry
-        assert epoch.grouper is not None
-        entry.uf.merge_from(
-            epoch.grouper.forest(), translate=epoch.indices.__getitem__
-        )
+            entry = self._cross[key] = _CrossEdges()
+        uf = entry.uf
         kept: List[Tuple[int, int]] = []
         for a, b in raw:
-            if not entry.uf.connected(a, b):
-                entry.uf.union(a, b)
+            uf.add(a)
+            uf.add(b)
+            if uf.find(a) != uf.find(b):
+                uf.union(a, b)
                 kept.append((a, b))
         entry.edges.extend(kept)
         return kept

@@ -1,7 +1,5 @@
 """Smoke tests for the experiment runners (tiny sizes, checks structure + shape)."""
 
-import pytest
-
 from repro.bench.experiments import (
     fig9_sgb_all_epsilon,
     fig9_sgb_any_epsilon,
@@ -13,7 +11,7 @@ from repro.bench.experiments import (
     table2_tpch_queries,
 )
 from repro.bench.harness import measure
-from repro.bench.report import format_series, format_table, speedup
+from repro.bench.report import format_series, format_table
 
 
 class TestHarness:
@@ -36,15 +34,6 @@ class TestHarness:
         series = format_series(rows, x="eps", y="seconds", series="strategy")
         assert "all-pairs" in series.splitlines()[0]
         assert format_table([]) == "(no rows)"
-
-    def test_speedup_relative_to_baseline(self):
-        rows = [
-            {"eps": 0.1, "strategy": "all-pairs", "seconds": 2.0},
-            {"eps": 0.1, "strategy": "index", "seconds": 0.5},
-        ]
-        enriched = speedup(rows, baseline_label="all-pairs")
-        index_row = [r for r in enriched if r["strategy"] == "index"][0]
-        assert index_row["speedup"] == pytest.approx(4.0)
 
 
 class TestFigureRunners:

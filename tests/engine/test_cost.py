@@ -114,7 +114,7 @@ class TestSGBAllDecisions:
     def test_never_sharded(self):
         for count in (10, 1000, 500_000):
             for eligible in (False, True):
-                plan = plan_sgb_all(synthetic_stats(count), 0.004, eligible, cpu_count=16)
+                plan = plan_sgb_all(synthetic_stats(count), 0.004, eligible)
                 assert plan.workers == 1 and plan.shards == 1
                 assert plan.mode in ("scalar", "frontier")
 

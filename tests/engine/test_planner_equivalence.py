@@ -100,11 +100,13 @@ class TestSGBAllEquivalence:
         baseline = sgb_all(pts, eps=0.2, on_overlap="eliminate")
 
         for mode in ("scalar", "frontier"):
-            def force(stats, eps, frontier_eligible, cpu_count=None, _mode=mode):
+            def force(stats, eps, frontier_eligible, _mode=mode):
                 return PhysicalPlan(op="sgb_all", mode=_mode, reason="forced")
 
             monkeypatch.setattr(cost_mod, "plan_sgb_all", force)
             forced = sgb_all(pts, eps=0.2, on_overlap="eliminate")
+            # The stub was consulted: result.plan is the plan it returned.
+            assert forced.plan.mode == mode and forced.plan.reason == "forced"
             assert forced.groups == baseline.groups
             assert forced.eliminated == baseline.eliminated
 

@@ -108,6 +108,30 @@ class TestStreamingResume:
         flushes += resumed.close()
         assert [flush_key(w) for w in flushes] == [flush_key(w) for w in straight]
 
+    def test_format_2_checkpoint_still_resumes(self, tmp_path):
+        # A format-2 session cached its older-epoch view as (key, points,
+        # epoch bounds, epochs); the reader drops that cache, which the
+        # resumed session rebuilds in the current shape.
+        rng = random.Random(47)
+        points = random_points(rng, 300)
+        path = str(tmp_path / "stream.ck")
+
+        continuous = StreamingSGB(eps=0.8, window=60, slide=20)
+        straight = list(continuous.ingest(points)) + continuous.close()
+
+        first = StreamingSGB(eps=0.8, window=60, slide=20)
+        flushes = list(first.ingest(points[:130]))
+        key, combined, _, _, olders = first._older_view
+        bounds = [sum(len(e.points) for e in olders[: k + 1]) for k in range(len(olders))]
+        first._older_view = (key, combined, bounds, olders)
+        save_checkpoint({"format": "streaming-sgb/2", "session": first}, path)
+
+        resumed = StreamingSGB.resume(path)
+        assert resumed is not None and resumed._older_view is None
+        flushes += resumed.ingest(points[130:])
+        flushes += resumed.close()
+        assert [flush_key(w) for w in flushes] == [flush_key(w) for w in straight]
+
     def test_damaged_checkpoint_resumes_as_none(self, tmp_path):
         path = str(tmp_path / "stream.ck")
         session = StreamingSGB(eps=0.8, window=10)
