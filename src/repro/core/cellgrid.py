@@ -30,7 +30,13 @@ import math
 from functools import lru_cache
 from typing import Any, Iterator, List, Optional, Sequence, Tuple
 
-from repro.core.distance import Metric, eps_threshold, paired_measures, paired_within
+from repro.core.distance import (
+    Metric,
+    eps_threshold,
+    paired_measures,
+    paired_within,
+    pairwise_measures,
+)
 
 try:  # NumPy is optional; callers only reach this module when it imports.
     import numpy as _np
@@ -491,3 +497,302 @@ def subcell_labels(arr: Any, eps: float, metric: Metric) -> Optional[Any]:
     smallest = _np.full(labels.shape[0], n, dtype=_np.int64)
     _np.minimum.at(smallest, root, _np.arange(n))
     return smallest[root]
+
+
+# ---------------------------------------------------------------------------
+# k nearest neighbours
+# ---------------------------------------------------------------------------
+
+#: Most cells a kNN grid may have; it also bounds the cell rows one box spans.
+KNN_MAX_CELLS = 2 ** 22
+
+#: The kNN grid cuts at most this many axes, the widest ones.
+KNN_GRID_DIMS = 3
+
+#: Most ``(probe, candidate)`` entries one kNN ranking block holds.
+_KNN_BLOCK = 2 ** 15
+
+#: Occupancy refinements of the kNN cell side (see :func:`knn_grid_side`).
+_KNN_REFINE_ROUNDS = 4
+
+
+def knn_grid_axes(extents: Sequence[float]) -> List[int]:
+    """The axes a kNN grid cuts: up to :data:`KNN_GRID_DIMS` of the widest.
+
+    Axes of zero extent are skipped, since every point shares their cell.
+    Leaving axes out keeps each probe's box at a bounded number of cell
+    rows; it cannot cost an answer, because a box over fewer axes gathers
+    a superset of the points.
+    """
+    wide = sorted(
+        (k for k, extent in enumerate(extents) if extent > 0),
+        key=lambda k: (-extents[k], k),
+    )
+    return sorted(wide[:KNN_GRID_DIMS])
+
+
+def knn_cell_counts(extents: Sequence[float], side: float) -> List[int]:
+    """Cells per grid axis of a kNN grid with this side over these extents."""
+    return [math.floor(extent / side) + 1 for extent in extents]
+
+
+def knn_grid_side(
+    extents: Sequence[float], n: int, want: int, distinct_cells: Any
+) -> float:
+    """Cell side of a kNN grid: about ``want`` points per occupied cell.
+
+    The start is the side that would give every cell ``want`` points under a
+    uniform density over the bounding box.  Clustered data occupies a small
+    part of the box, so the side then shrinks by the ratio of mean occupancy
+    (``n / distinct_cells(side)``) to ``want``, up to four times, as long as
+    the grid stays within :data:`KNN_MAX_CELLS`.  The side only changes how
+    much work a probe does, never its answer.
+    """
+    dims = len(extents)
+    volume = 1.0
+    for extent in extents:
+        volume *= extent
+    widest = max(extents)
+    side = max((volume * want / n) ** (1.0 / dims), widest * 2.0 ** -22)
+    while math.prod(knn_cell_counts(extents, side)) > KNN_MAX_CELLS:
+        side *= 2.0
+    for _ in range(_KNN_REFINE_ROUNDS):
+        occupancy = n / distinct_cells(side)
+        if occupancy <= 2 * want:
+            break
+        finer = side * (want / occupancy) ** (1.0 / dims)
+        if math.prod(knn_cell_counts(extents, finer)) > KNN_MAX_CELLS:
+            break
+        side = finer
+    return side
+
+
+def knn_box_slack(bound: Any, coord: Any) -> Any:
+    """Half-side of the box that holds every point within ``bound``.
+
+    A float distance of at most ``bound`` (L1, L2 or LINF) puts each
+    coordinate within ``bound`` of the probe up to a few ulps, and within
+    2**-1000 where squares underflow.  The slack covers both and the
+    rounding of ``coord - half`` and ``coord + half`` themselves.
+    """
+    return bound + (bound + abs(coord)) * 2.0 ** -40 + 1e-150
+
+
+class _KnnGrid:
+    """The right side of a kNN join bucketed on a linearised cell grid.
+
+    ``cells`` maps coordinates to cells with the same float operations for
+    points and box bounds.  Those operations are monotone, so a point
+    between two bounds lies in a cell between theirs on every grid axis;
+    that is the whole correctness argument of the gathers.
+    """
+
+    def __init__(self, arr: Any, axes: List[int], want: int) -> None:
+        coords = arr[:, axes]
+        self.n = arr.shape[0]
+        self.low = coords.min(axis=0)
+        extents = (coords.max(axis=0) - self.low).tolist()
+
+        def distinct(side: float) -> int:
+            cells = _np.floor((coords - self.low) / side).astype(_np.int64)
+            keys = cells @ _strides(knn_cell_counts(extents, side))
+            return int(_np.unique(keys).shape[0])
+
+        self.side = knn_grid_side(extents, self.n, want, distinct)
+        counts = knn_cell_counts(extents, self.side)
+        self.top = _np.asarray(counts, dtype=_np.int64) - 1
+        self._limit = _np.asarray(counts, dtype=_np.float64)
+        self.strides = _strides(counts)
+        keys = self.cells(coords) @ self.strides
+        self.order = _np.argsort(keys, kind="stable")
+        self.sorted_keys = keys[self.order]
+
+    def cells(self, coords: Any) -> Any:
+        """The cell of each row of ``coords`` (grid axes), clipped to the grid."""
+        scaled = _np.clip((coords - self.low) / self.side, -1.0, self._limit)
+        return _np.clip(_np.floor(scaled).astype(_np.int64), 0, self.top)
+
+    def everything(self, lo: Any, hi: Any) -> Any:
+        """Boxes gathered whole: more cell rows than a scan of every point."""
+        return _box_rows(lo, hi) * 4 > self.n
+
+    def runs(self, lo: Any, hi: Any) -> Tuple[Any, Any, Any]:
+        """Every cell row of each box as ``(box, start, end)`` in ``order``.
+
+        A row fixes every grid axis but the last, so its cells are one key
+        interval and its points one run of the sorted keys.
+        """
+        widths = hi[:, :-1] - lo[:, :-1] + 1
+        rows = _box_rows(lo, hi)
+        box = _np.repeat(_np.arange(lo.shape[0]), rows)
+        local = _np.arange(box.shape[0]) - _np.repeat(_np.cumsum(rows) - rows, rows)
+        base = _np.zeros(box.shape[0], dtype=_np.int64)
+        for k in range(widths.shape[1] - 1, -1, -1):
+            width = widths[box, k]
+            base += (lo[box, k] + local % width) * self.strides[k]
+            local //= width
+        start = _np.searchsorted(self.sorted_keys, base + lo[box, -1], side="left")
+        end = _np.searchsorted(self.sorted_keys, base + hi[box, -1], side="right")
+        return box, start, end
+
+    def counts(self, lo: Any, hi: Any) -> Any:
+        """Points each box gathers (every point for the whole-side boxes)."""
+        out = _np.full(lo.shape[0], self.n, dtype=_np.int64)
+        part = _np.flatnonzero(~self.everything(lo, hi))
+        for chunk in _blocks(_box_rows(lo[part], hi[part])):
+            box, start, end = self.runs(lo[part[chunk]], hi[part[chunk]])
+            out[part[chunk]] = _np.bincount(
+                box, weights=end - start, minlength=chunk.shape[0]
+            ).astype(_np.int64)
+        return out
+
+    def gather(self, lo: Any, hi: Any) -> Tuple[Any, Any]:
+        """``(box, right row)`` of every point each box gathers."""
+        everything = self.everything(lo, hi)
+        whole = _np.flatnonzero(everything)
+        part = _np.flatnonzero(~everything)
+        box, start, end = self.runs(lo[part], hi[part])
+        sizes = end - start
+        offsets = _np.arange(int(sizes.sum())) - _np.repeat(_np.cumsum(sizes) - sizes, sizes)
+        rows = self.order[_np.repeat(start, sizes) + offsets]
+        return (
+            _np.concatenate([_np.repeat(whole, self.n), part[_np.repeat(box, sizes)]]),
+            _np.concatenate([_np.tile(_np.arange(self.n), whole.shape[0]), rows]),
+        )
+
+
+def _strides(counts: List[int]) -> Any:
+    """Mixed-radix strides of a grid with these cells per axis (last axis 1)."""
+    strides = [1] * len(counts)
+    for k in range(len(counts) - 2, -1, -1):
+        strides[k] = strides[k + 1] * counts[k + 1]
+    return _np.asarray(strides, dtype=_np.int64)
+
+
+def _box_rows(lo: Any, hi: Any) -> Any:
+    """Cell rows of each box: the product of its widths on all but the last axis."""
+    return (hi[:, :-1] - lo[:, :-1] + 1).prod(axis=1)
+
+
+def _gather_blocks(found: Any, lo: Any, hi: Any) -> Iterator[Any]:
+    """Box ranges whose gathers stay within about :data:`_KNN_BLOCK` entries.
+
+    A gather holds one entry per cell row and one per point (``found``) of
+    each box.
+    """
+    yield from _blocks(found + _box_rows(lo, hi))
+
+
+def _blocks(sizes: Any) -> Iterator[Any]:
+    """Index ranges over ``sizes`` whose sums stay within :data:`_KNN_BLOCK`.
+
+    A single entry larger than the block is a range of its own.
+    """
+    ends = _np.cumsum(sizes)
+    start, total = 0, sizes.shape[0]
+    while start < total:
+        base = int(ends[start - 1]) if start else 0
+        stop = int(_np.searchsorted(ends, base + _KNN_BLOCK, side="right"))
+        stop = min(max(stop, start + 1), total)
+        yield _np.arange(start, stop)
+        start = stop
+
+
+def _distances(left: Any, right: Any, metric: Metric) -> Any:
+    """Row-pair distances, bit-identical to :func:`distances_many`."""
+    measures = paired_measures(left, right, metric)
+    return _np.sqrt(measures) if metric is Metric.L2 else measures
+
+
+def _ranked(
+    probe: Any, rows: Any, left: Any, right: Any, want: int, metric: Metric
+) -> Tuple[Any, Any]:
+    """Each probe's ``want`` first candidates by ``(distance, right row)``.
+
+    ``probe`` numbers the probes 0..m-1 and every probe has at least
+    ``want`` candidates.  Returns the ``(m, want)`` rows and the distance of
+    each probe's last kept candidate.
+    """
+    distance = _distances(left[probe], right[rows], metric)
+    order = _np.lexsort((rows, distance, probe))
+    probe, rows, distance = probe[order], rows[order], distance[order]
+    first = _np.flatnonzero(_np.concatenate(([True], probe[1:] != probe[:-1])))
+    sizes = _np.diff(_np.append(first, probe.shape[0]))
+    keep = _np.arange(probe.shape[0]) - _np.repeat(first, sizes) < want
+    return rows[keep].reshape(-1, want), distance[keep].reshape(-1, want)[:, -1]
+
+
+def knn_brute(left: Any, right: Any, want: int, metric: Metric) -> Any:
+    """The blocked nested loop: each left row's ``want`` nearest right rows.
+
+    Distances are :func:`pairwise_measures` (square-rooted for L2), and a
+    stable per-row argsort breaks ties towards the smaller right row.
+    """
+    out = _np.empty((left.shape[0], want), dtype=_np.int64)
+    step = max(1, _KNN_BLOCK // right.shape[0])
+    for start in range(0, left.shape[0], step):
+        measures = pairwise_measures(left[start : start + step], right, metric)
+        if metric is Metric.L2:
+            measures = _np.sqrt(measures)
+        order = _np.argsort(measures, axis=1, kind="stable")
+        out[start : start + step] = order[:, :want]
+    return out
+
+
+def knn_table(left: Any, right: Any, want: int, metric: Metric) -> Any:
+    """Row ``i`` lists the ``want`` nearest right rows of ``left[i]``.
+
+    Order is ascending ``(distance, right row)``, with distances exactly as
+    :func:`distances_many` computes them, so the table is the nested loop's.
+    ``want`` is at most ``len(right)``.  Two rounds on a cell grid over the
+    right side (:class:`_KnnGrid`):
+
+    1. Each probe gathers its 3^g cell block (g grid axes), doubling the
+       block's reach until it holds ``want`` points; the ``want``-th
+       smallest distance ``D`` among them bounds the answer's distances.
+    2. Every point within ``D`` lies in the box of half-side ``D`` (each
+       coordinate difference of an L1, L2 or LINF distance is at most the
+       distance), widened by :func:`knn_box_slack` for rounding.  Probes
+       whose box leaves their block gather the box's cells and rank again;
+       the others already ranked a superset.
+    """
+    n_left = left.shape[0]
+    axes = knn_grid_axes((right.max(axis=0) - right.min(axis=0)).tolist())
+    if not axes or right.shape[0] <= 4 * want:
+        return knn_brute(left, right, want, metric)
+    grid = _KnnGrid(right, axes, want)
+    coords = left[:, axes]
+    centre = grid.cells(coords)
+    lo = _np.empty_like(centre)
+    hi = _np.empty_like(centre)
+    reach = _np.ones((n_left, 1), dtype=_np.int64)
+    todo = _np.arange(n_left)
+    found = _np.empty(n_left, dtype=_np.int64)
+    while todo.shape[0]:
+        lo[todo] = _np.maximum(centre[todo] - reach[todo], 0)
+        hi[todo] = _np.minimum(centre[todo] + reach[todo], grid.top)
+        found[todo] = grid.counts(lo[todo], hi[todo])
+        todo = todo[found[todo] < want]
+        reach[todo] *= 2
+
+    table = _np.empty((n_left, want), dtype=_np.int64)
+    bound = _np.empty(n_left, dtype=_np.float64)
+    for probes in _gather_blocks(found, lo, hi):
+        box, rows = grid.gather(lo[probes], hi[probes])
+        table[probes], bound[probes] = _ranked(
+            box, rows, left[probes], right, want, metric
+        )
+
+    slack = knn_box_slack(bound[:, None], coords)
+    lo2 = grid.cells(coords - slack)
+    hi2 = grid.cells(coords + slack)
+    again = (lo2 < lo).any(axis=1) | (hi2 > hi).any(axis=1)
+    again &= ~grid.everything(lo, hi)
+    redo = _np.flatnonzero(again)
+    if redo.shape[0]:
+        found = grid.counts(lo2[redo], hi2[redo])
+        for block in _gather_blocks(found, lo2[redo], hi2[redo]):
+            probes = redo[block]
+            box, rows = grid.gather(lo2[probes], hi2[probes])
+            table[probes], _ = _ranked(box, rows, left[probes], right, want, metric)
+    return table

@@ -3,7 +3,8 @@
 A :class:`Group` owns the points admitted so far, their original input
 indices, the epsilon-All bounding rectangle used by the bounds-checking /
 indexed filters, and a lazily rebuilt convex hull used by the L2 refinement
-step.
+step.  The rectangle is built on first use too: the batch frontier decides
+membership from the eps-adjacency alone and never reads it.
 """
 
 from __future__ import annotations
@@ -34,9 +35,10 @@ class Group:
 
     __slots__ = (
         "gid",
+        "eps",
         "points",
         "indices",
-        "eps_rect",
+        "_eps_rect",
         "indexed_rect",
         "_hull",
         "_hull_dirty",
@@ -46,9 +48,10 @@ class Group:
 
     def __init__(self, gid: int, eps: float, index: int, point: Point) -> None:
         self.gid = gid
+        self.eps = eps
         self.points: List[Point] = [point]
         self.indices: List[int] = [index]
-        self.eps_rect = EpsAllRectangle(eps, point)
+        self._eps_rect: Optional[EpsAllRectangle] = None
         #: Rectangle currently registered in the group R-tree (indexed variant).
         self.indexed_rect: Optional[Rect] = None
         self._hull: Optional[List[Tuple[float, float]]] = None
@@ -63,21 +66,38 @@ class Group:
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"Group(gid={self.gid}, size={len(self.points)})"
 
+    @property
+    def eps_rect(self) -> EpsAllRectangle:
+        """The epsilon-All rectangle, built from the members on first use.
+
+        Folding the members in admission order is the sequence of shrinks
+        :meth:`add` would have applied, so a late build is bit-identical to
+        one kept up to date from the start.
+        """
+        if self._eps_rect is None:
+            rect = EpsAllRectangle(self.eps, self.points[0])
+            for pt in self.points[1:]:
+                rect.add(pt)
+            self._eps_rect = rect
+        return self._eps_rect
+
     # -- membership maintenance -------------------------------------------
 
     def add(self, index: int, point: Point) -> None:
         """Admit ``point`` (input row ``index``) and shrink the bounding rectangle."""
         self.points.append(point)
         self.indices.append(index)
-        self.eps_rect.add(point)
+        if self._eps_rect is not None:
+            self._eps_rect.add(point)
         self._hull_dirty = True
         self._coords_dirty = True
 
     def remove_indices(self, to_remove: Sequence[int]) -> List[Tuple[int, Point]]:
         """Remove the listed input indices; return the removed (index, point) pairs.
 
-        Rebuilds the epsilon-All rectangle from the remaining members so the
-        bounds filter stays tight after ELIMINATE / FORM-NEW-GROUP deletions.
+        Drops the epsilon-All rectangle, so its next use rebuilds it from the
+        remaining members and the bounds filter stays tight after ELIMINATE /
+        FORM-NEW-GROUP deletions.
         """
         removal = set(to_remove)
         removed: List[Tuple[int, Point]] = []
@@ -91,11 +111,7 @@ class Group:
                 kept_points.append(pt)
         self.points = kept_points
         self.indices = kept_indices
-        if kept_points:
-            rebuilt = EpsAllRectangle(self.eps_rect.eps, kept_points[0])
-            for pt in kept_points[1:]:
-                rebuilt.add(pt)
-            self.eps_rect = rebuilt
+        self._eps_rect = None
         self._hull_dirty = True
         self._coords_dirty = True
         return removed

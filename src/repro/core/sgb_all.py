@@ -105,9 +105,9 @@ class SGBAllGrouper:
         self._seed = seed
         self._index_factory = index_factory or _default_index_factory
         self._groups: List[Group] = []
-        self._group_index: Optional[SpatialIndex] = (
-            self._index_factory() if self.strategy is SGBAllStrategy.INDEX else None
-        )
+        #: The INDEX strategy's group R-tree (``Groups_IX``), built on the
+        #: first per-point probe: the batch frontier never reads it.
+        self._group_index: Optional[SpatialIndex] = None
         self._next_gid = 0
         self._points: List[Point] = []
         #: Input row index of each entry of ``_points`` (arrival order); the
@@ -308,10 +308,29 @@ class SGBAllGrouper:
         return [g for g in self._groups if len(g) > 0]
 
     def _index_probe(self, point: Point) -> List[Group]:
-        assert self._group_index is not None
         window = Rect.from_point(point, self.eps)
-        hits = self._group_index.search(window)
+        hits = self._ensure_group_index().search(window)
         return [g for g in hits if len(g) > 0]
+
+    def _ensure_group_index(self) -> SpatialIndex:
+        """The group index, packed over the live groups when first needed.
+
+        Until a per-point probe runs, groups are created without index
+        upkeep.  The late build packs every live group under its *current*
+        rectangle, while a tree kept from the start holds each group under
+        the rectangle of its last (re)insert, which contains the current
+        one.  Both return every group whose current rectangle meets the
+        probe window, and :meth:`_find_bounds` re-checks each hit against that
+        rectangle before :meth:`_find_close_groups` sorts them by gid, so
+        neither the packing nor the staleness can change a decision.
+        """
+        if self._group_index is None:
+            live = self._live_groups()
+            for group in live:
+                group.indexed_rect = group.eps_rect.rect
+            self._group_index = self._index_factory()
+            self._group_index.load([g.indexed_rect for g in live], live)
+        return self._group_index
 
     def _find_all_pairs(self, point: Point) -> Tuple[List[Group], List[Group]]:
         """Procedure 2: exact scan of every member of every group."""
@@ -433,7 +452,11 @@ class SGBAllGrouper:
         self._refresh_group_index_entry(group)
 
     def _refresh_group_index_entry(self, group: Group) -> None:
-        """Re-register a group in the R-tree after its membership shrank."""
+        """Re-register a group in the R-tree after its membership shrank.
+
+        A no-op until the index exists: the late build reads the rectangle
+        the group has by then.
+        """
         if self._group_index is None or group.indexed_rect is None:
             return
         self._group_index.delete(group.indexed_rect, group)

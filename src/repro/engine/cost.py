@@ -440,8 +440,8 @@ def plan_knn_join(
     """Choose serial vs sharded execution for one kNN-join."""
     n_l, n_r = left.count, right.count
     est_rows = n_l * min(k, n_r)
-    # Build an index over the right side, then one expanding probe per left
-    # point; probe cost grows with k (more candidates verified per probe).
+    # Bucket the right side on a cell grid, then rank each left point's
+    # nearby cells; probe cost grows with k (more candidates ranked per probe).
     probe_pairs = float(n_l) * min(n_r, 8 * max(1, k))
     serial_cost = PROFILE.c_point * (n_l + n_r) + PROFILE.c_pair * probe_pairs
     details = {"serial": serial_cost}

@@ -1,32 +1,39 @@
 """k-nearest-neighbour similarity join: each left point to its k closest rights.
 
 Unlike the eps-join there is no fixed threshold to grid on, so the kNN-join
-probes a bulk-loaded spatial index (the STR-packed R-tree of the batch SGB
-path) with expanding window queries instead of enumerating all pairs:
+buckets the right side on a cell grid sized by its occupancy (about k points
+per occupied cell, :func:`repro.core.cellgrid.knn_grid_side`) and answers
+every probe in two rounds:
 
-1. every left point issues one window query of a data-derived starting
-   radius (answered for the whole batch with ``search_many``), doubling the
-   window until at least ``k`` candidates respond;
-2. the candidates' exact distances give a conservative kth-distance bound
-   ``D``; because a box of half-side ``D`` contains the closed metric ball
-   of radius ``D`` for every supported metric (L2, LINF, L1 distances are
-   all bounded below by the largest per-coordinate difference), one final
-   window query at radius ``D`` is guaranteed to contain the true k nearest
-   neighbours;
+1. the probe gathers the points of its 3^g block of cells, doubling the
+   block's reach until at least ``k`` points respond;
+2. their exact distances give a conservative kth-distance bound ``D``;
+   because a box of half-side ``D`` contains the closed metric ball of
+   radius ``D`` for every supported metric (L2, LINF, L1 distances are all
+   bounded below by the largest per-coordinate difference), gathering the
+   cells that meet that box (widened for rounding) is guaranteed to collect
+   the true k nearest neighbours.  A probe whose box stays inside its block
+   skips the second gather;
 3. the final candidates are ranked by ``(distance, right_index)`` — the
    ascending-index rule breaks distance ties deterministically — and the
    first k survive.
 
+The NumPy backend runs whole blocks of probes at once
+(:func:`repro.core.cellgrid.knn_table`); the pure-Python backend runs the
+same two rounds per probe over a dict of cells.  Cells are computed with
+monotone float operations for points and box bounds alike, so a point
+inside a box is always inside one of the box's cells.
+
 ``k >= len(right)`` is well-defined, not an error: every right point
 qualifies, so each left point pairs with the *whole* right side in canonical
 rank order (ascending ``(distance, right_index)``), producing exactly
-``len(left) * len(right)`` pairs with no padding.  The expanding search is
-skipped outright in that regime — ranking the full side directly is both
-cheaper and trivially exact.
+``len(left) * len(right)`` pairs with no padding.  The grid is skipped
+outright in that regime — ranking the full side directly is both cheaper
+and trivially exact.
 
-Distances come from :func:`repro.core.distance.distances_many`, which is
-bit-identical to the scalar metric loops, so the result matches a brute-force
-nested loop exactly (the randomized equivalence suite enforces this on both
+Distances are bit-identical to :func:`repro.core.distance.distances_many`
+and to the scalar metric loops, so the result matches a brute-force nested
+loop exactly (the randomized equivalence suites enforce this on both
 backends and all metrics).  ``workers`` shards the *left* side across the
 engine's worker pool (:mod:`repro.join.knn_sharded`); every left point's
 neighbour list is independent of every other's, so the sharded result is
@@ -35,14 +42,15 @@ bit-identical to the serial one.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+import itertools
+import math
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.distance import Metric, distances_many, resolve_metric
-from repro.core.pointset import PointSet
-from repro.core.rectangle import Rect
+from repro.core import cellgrid
+from repro.core.distance import Metric, resolve_metric
+from repro.core.pointset import NumpyPointSet, PointSet
 from repro.exceptions import InvalidParameterError
 from repro.join.epsilon import JoinPairs, JoinResult, _normalise_sides
-from repro.spatial.rtree import RTree
 
 Point = Tuple[float, ...]
 
@@ -56,14 +64,14 @@ def _check_k(k: object) -> int:
 
 
 def _initial_radius(right_ps: PointSet, want: int) -> float:
-    """A data-derived starting window half-side for the expanding search.
+    """The half-side of a box holding about ``want`` right points.
 
     Under a roughly uniform density the box holding ``want`` of the
     ``n_right`` points has volume ``extent_volume * want / n_right``; its
     half-side is the d-th root halved.  Degenerate extents (all points on a
     lower-dimensional flat, or a single location) fall back to the widest
-    extent, then to an arbitrary positive constant — the doubling loop
-    corrects any underestimate, so only the constant's order matters.
+    extent, then to an arbitrary positive constant.  The sharded join cuts
+    its left slabs at this width.
     """
     bbox = right_ps.bbox()
     extents = [hi - lo for lo, hi in zip(bbox.low, bbox.high)]
@@ -76,69 +84,123 @@ def _initial_radius(right_ps: PointSet, want: int) -> float:
     return widest / 2 if widest > 0 else 1.0
 
 
+def knn_table(left_ps: PointSet, right_ps: PointSet, want: int, metric: Metric) -> Any:
+    """Row ``i`` lists the ``want`` nearest right indices of left point ``i``.
+
+    An ``(n_left, want)`` int array on the NumPy backend, a list of lists on
+    the pure-Python one; ``want`` is at most ``len(right_ps)``.
+    """
+    if isinstance(left_ps, NumpyPointSet) and isinstance(right_ps, NumpyPointSet):
+        return cellgrid.knn_table(left_ps.array, right_ps.array, want, metric)
+    return _PythonGrid(right_ps.to_tuples(), want).table(left_ps.to_tuples(), metric)
+
+
+def table_pairs(table: Any) -> JoinPairs:
+    """The ``(left_index, right_index)`` pairs of a neighbour table, in order."""
+    if not isinstance(table, list):
+        n_left, want = table.shape
+        lefts = [i for i in range(n_left) for _ in range(want)]
+        return list(zip(lefts, table.ravel().tolist()))
+    return [(i, j) for i, row in enumerate(table) for j in row]
+
+
 def _rank_all(
     left_tuples: Sequence[Point], right_tuples: Sequence[Point], metric: Metric
-) -> JoinPairs:
-    """The ``k >= len(right)`` regime: rank the full right side per left point."""
-    n_right = len(right_tuples)
-    pairs: JoinPairs = []
-    for i, probe in enumerate(left_tuples):
-        ranked = sorted(zip(distances_many(probe, right_tuples, metric), range(n_right)))
-        pairs.extend((i, j) for _, j in ranked)
-    return pairs
+) -> List[List[int]]:
+    """The nested loop: rank the full right side per left point.
 
-
-def build_right_index(right_tuples: Sequence[Point]) -> RTree:
-    """Bulk-load the right side into the STR-packed R-tree the probes use.
-
-    Exposed for the sharded kNN-join, whose *ship* mode builds this index
-    once in the coordinator and pickles it to every worker instead of
-    rebuilding it per shard.
+    It answers ``k >= len(right)`` and right sides too small for a grid.
     """
-    return RTree.bulk_load(
-        [Rect.from_point(pt) for pt in right_tuples], range(len(right_tuples))
-    )
+    distance = metric.function
+    return [
+        [j for _, j in sorted((distance(p, q), j) for j, q in enumerate(right_tuples))]
+        for p in left_tuples
+    ]
 
 
-def _expanding_pairs(
-    left_tuples: Sequence[Point],
-    right_tuples: Sequence[Point],
-    index: RTree,
-    radius: float,
-    want: int,
-    metric: Metric,
-) -> JoinPairs:
-    """The expanding-window core: kNN pairs with *local* left indices.
+class _PythonGrid:
+    """The pure-Python kNN grid: right indices per cell tuple, in a dict.
 
-    Deterministic for any positive ``radius`` — the starting window only
-    changes how many doubling rounds run, never the final ranked candidate
-    set — which is what lets the sharded join reuse the serial coordinator's
-    radius verbatim.
+    The same two rounds as :func:`repro.core.cellgrid.knn_table`, one probe
+    at a time.
     """
 
-    def rank(probe, hits):
-        """Candidates ordered by ``(distance, right_index)`` — the tie rule."""
-        distances = distances_many(probe, [right_tuples[j] for j in hits], metric)
-        return sorted(zip(distances, hits))
+    def __init__(self, right: Sequence[Point], want: int) -> None:
+        self.right = right
+        self.want = want
+        dims = len(right[0])
+        low = [min(pt[k] for pt in right) for k in range(dims)]
+        extents = [max(pt[k] for pt in right) - low[k] for k in range(dims)]
+        self.axes = cellgrid.knn_grid_axes(extents)
+        self.cells: Dict[Tuple[int, ...], List[int]] = {}
+        if not self.axes or len(right) <= 4 * want:
+            return
+        self.low = [low[k] for k in self.axes]
+        grid_extents = [extents[k] for k in self.axes]
 
-    first_round = index.search_many(
-        [Rect.from_point(pt, radius) for pt in left_tuples]
-    )
-    pairs: JoinPairs = []
-    for i, (probe, hits) in enumerate(zip(left_tuples, first_round)):
-        r = radius
-        while len(hits) < want:
-            r *= 2.0
-            hits = index.search(Rect.from_point(probe, r))
-        ranked = rank(probe, hits)
-        bound = ranked[want - 1][0]
-        if bound > r:
-            # The kth-distance bound exceeds the window: one final query at
-            # radius `bound` (whose box contains the closed `bound`-ball
-            # under every supported metric) completes the candidate set.
-            ranked = rank(probe, index.search(Rect.from_point(probe, bound)))
-        pairs.extend((i, j) for _, j in ranked[:want])
-    return pairs
+        def distinct(side: float) -> int:
+            return len(
+                {
+                    tuple(math.floor((pt[k] - lo) / side) for k, lo in zip(self.axes, self.low))
+                    for pt in right
+                }
+            )
+
+        self.side = cellgrid.knn_grid_side(grid_extents, len(right), want, distinct)
+        self.top = [count - 1 for count in cellgrid.knn_cell_counts(grid_extents, self.side)]
+        for j, pt in enumerate(right):
+            self.cells.setdefault(self.cell(pt), []).append(j)
+
+    def _axis_cell(self, x: float, axis: int) -> int:
+        top = self.top[axis]
+        scaled = min(max((x - self.low[axis]) / self.side, -1.0), float(top + 1))
+        return min(max(math.floor(scaled), 0), top)
+
+    def cell(self, pt: Sequence[float]) -> Tuple[int, ...]:
+        return tuple(self._axis_cell(pt[k], a) for a, k in enumerate(self.axes))
+
+    def gather(self, lo: Sequence[int], hi: Sequence[int]) -> List[int]:
+        """Right indices of every cell in the box ``lo..hi`` (inclusive)."""
+        size = math.prod(h - l + 1 for l, h in zip(lo, hi))
+        if size > len(self.cells):
+            return [
+                j
+                for key, members in self.cells.items()
+                if all(l <= c <= h for c, l, h in zip(key, lo, hi))
+                for j in members
+            ]
+        out: List[int] = []
+        for key in itertools.product(*(range(l, h + 1) for l, h in zip(lo, hi))):
+            out.extend(self.cells.get(key, ()))
+        return out
+
+    def table(self, left: Sequence[Point], metric: Metric) -> List[List[int]]:
+        if not self.cells:
+            return [row[: self.want] for row in _rank_all(left, self.right, metric)]
+        distance, right, want = metric.function, self.right, self.want
+        out: List[List[int]] = []
+        for probe in left:
+            centre = self.cell(probe)
+            reach = 1
+            while True:
+                lo = [max(c - reach, 0) for c in centre]
+                hi = [min(c + reach, t) for c, t in zip(centre, self.top)]
+                found = self.gather(lo, hi)
+                if len(found) >= want:
+                    break
+                reach *= 2
+            ranked = sorted((distance(probe, right[j]), j) for j in found)
+            bound = ranked[want - 1][0]
+            lo2, hi2 = [], []
+            for a, k in enumerate(self.axes):
+                slack = cellgrid.knn_box_slack(bound, probe[k])
+                lo2.append(self._axis_cell(probe[k] - slack, a))
+                hi2.append(self._axis_cell(probe[k] + slack, a))
+            if any(l2 < l for l2, l in zip(lo2, lo)) or any(h2 > h for h2, h in zip(hi2, hi)):
+                found = self.gather(lo2, hi2)
+                ranked = sorted((distance(probe, right[j]), j) for j in found)
+            out.append([j for _, j in ranked[:want]])
+        return out
 
 
 def knn_join(
@@ -205,16 +267,4 @@ def _knn_serial(
     left_ps: PointSet, right_ps: PointSet, k: int, metric: Metric
 ) -> JoinPairs:
     """The in-process kNN-join over already-normalised sides."""
-    right_tuples = right_ps.to_tuples()
-    left_tuples = left_ps.to_tuples()
-    want = min(k, len(right_tuples))
-    if want == len(right_tuples):
-        return _rank_all(left_tuples, right_tuples, metric)
-    return _expanding_pairs(
-        left_tuples,
-        right_tuples,
-        build_right_index(right_tuples),
-        _initial_radius(right_ps, want),
-        want,
-        metric,
-    )
+    return table_pairs(knn_table(left_ps, right_ps, min(k, len(right_ps)), metric))

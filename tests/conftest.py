@@ -2,11 +2,27 @@
 
 from __future__ import annotations
 
+import faulthandler
+
 import pytest
 
 from repro.minidb import Database
 from repro.workloads.synthetic import clustered_points, uniform_points
 from repro.workloads.tpch import load_tpch
+
+#: Per-test wall-clock ceiling in seconds, far above the slowest test
+#: (about 22 s): a test that reaches it is hung, so every thread's traceback
+#: is dumped and the run exits instead of stalling.
+HANG_SECONDS = 600
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_protocol(item, nextitem):
+    faulthandler.dump_traceback_later(HANG_SECONDS, exit=True)
+    try:
+        yield
+    finally:
+        faulthandler.cancel_dump_traceback_later()
 
 
 @pytest.fixture

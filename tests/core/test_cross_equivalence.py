@@ -95,15 +95,13 @@ class TestSgbAnyEquivalence:
         batched = sgb_any_grouping(pts, eps=0.8, batch=True)
         assert _as_key(batched) == _as_key(scalar)
 
-    @pytest.mark.parametrize("metric", ["L2", "L1"])
+    @pytest.mark.parametrize("metric", ["L2", "L1", "LINF"])
     @pytest.mark.parametrize("dims", [8, 12, 32])
     def test_exact_boundary_parity_in_high_dimensions(self, metric, dims):
         """Regression: naive ``.sum(axis=-1)`` switches to pairwise summation
         past 8 dimensions, flipping exact-boundary eps decisions vs the
         scalar left-to-right loops.  Set eps to the exact pair distance so
-        the predicate sits on the boundary; both paths must still agree.
-        (LINF is excluded: max is order-independent, and its scalar INDEX
-        path intentionally trusts the window query's rounded bounds.)"""
+        the predicate sits on the boundary; both paths must still agree."""
         from repro.core.distance import get_distance_function
 
         rng = random.Random(dims)

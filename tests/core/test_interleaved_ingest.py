@@ -87,3 +87,51 @@ class TestSgbAllInterleaving:
         mixed = SGBAllGrouper(eps=0.9, on_overlap=on_overlap, seed=3)
         _mixed_ingest(mixed, points, seed, backend)
         assert _result_key(mixed.finalize()) == _result_key(reference.finalize())
+
+
+class TestSgbAllLazyUpkeep:
+    """The group R-tree and the group rectangles exist only once read."""
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("metric", ["L2", "LINF"])
+    @pytest.mark.parametrize("on_overlap", ["JOIN-ANY", "ELIMINATE", "FORM-NEW-GROUP"])
+    def test_frontier_batches_build_no_index_and_no_rectangles(
+        self, backend, metric, on_overlap, monkeypatch
+    ):
+        from repro.spatial.rtree import RTree
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the frontier path touched the group R-tree")
+
+        monkeypatch.setattr(RTree, "insert", refuse)
+        monkeypatch.setattr(RTree, "load", refuse)
+        points = _clustered(150, 8)
+        grouper = SGBAllGrouper(eps=0.9, metric=metric, on_overlap=on_overlap)
+        assert grouper.frontier_eligible(2)
+        for start in (0, 60):
+            grouper.add_batch(PointSet.from_any(points[start : start + 60], backend=backend))
+        assert grouper._group_index is None
+        assert grouper._groups
+        assert all(group._eps_rect is None for group in grouper._groups)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("metric", ["L2", "LINF"])
+    @pytest.mark.parametrize("on_overlap", ["JOIN-ANY", "ELIMINATE", "FORM-NEW-GROUP"])
+    @pytest.mark.parametrize("seed", [9, 10])
+    def test_batch_scalar_batch_matches_scalar_reference(
+        self, backend, metric, on_overlap, seed
+    ):
+        # The scalar adds build the index over the groups the first batch
+        # left behind; the second batch keeps it up to date, and under
+        # ELIMINATE / FORM-NEW-GROUP strips overlaps from indexed groups.
+        points = _clustered(160, seed)
+        reference = SGBAllGrouper(eps=0.9, metric=metric, on_overlap=on_overlap, seed=3)
+        reference.add_all(points)
+        mixed = SGBAllGrouper(eps=0.9, metric=metric, on_overlap=on_overlap, seed=3)
+        mixed.add_batch(PointSet.from_any(points[:70], backend=backend))
+        assert mixed._group_index is None
+        for point in points[70:80]:
+            mixed.add(point)
+        assert mixed._group_index is not None
+        mixed.add_batch(PointSet.from_any(points[80:], backend=backend))
+        assert _result_key(mixed.finalize()) == _result_key(reference.finalize())

@@ -1,4 +1,4 @@
-"""Sharded kNN-join: left-partition exactness, both index-shipping modes."""
+"""Sharded kNN-join: left-partition exactness and the serial fallbacks."""
 
 from __future__ import annotations
 
@@ -23,13 +23,10 @@ def _clustered_sides(seed: int, n: int = 150):
 
 class TestShardedExactness:
     @pytest.mark.parametrize("shards", [2, 3, 5])
-    @pytest.mark.parametrize("ship_index", [False, True])
-    def test_forced_shards_match_serial(self, shards, ship_index):
+    def test_forced_shards_match_serial(self, shards):
         left, right = _clustered_sides(7)
         serial = knn_join(left, right, 3, workers=1)
-        sharded = knn_join_sharded(
-            left, right, 3, workers=2, shards=shards, ship_index=ship_index
-        )
+        sharded = knn_join_sharded(left, right, 3, workers=2, shards=shards)
         assert sharded == serial
 
     @pytest.mark.parametrize("metric", ["L2", "LINF", "L1"])
@@ -52,13 +49,10 @@ class TestShardedExactness:
         serial = knn_join(left, right, 3, workers=1)
         assert knn_join(left, right, 3, workers=2) == serial
 
-    @pytest.mark.parametrize("ship_index", [False, True])
-    def test_k_exceeding_right_side(self, ship_index):
+    def test_k_exceeding_right_side(self):
         left, right = _clustered_sides(29, n=45)
         serial = knn_join(left, right, len(right) + 5, workers=1)
-        sharded = knn_join_sharded(
-            left, right, len(right) + 5, workers=2, shards=3, ship_index=ship_index
-        )
+        sharded = knn_join_sharded(left, right, len(right) + 5, workers=2, shards=3)
         assert sharded == serial
         assert len(sharded) == len(left) * len(right)
 
